@@ -7,7 +7,7 @@ pruning.
 """
 
 from .bindings import BindingTable, evaluate_bgp, match_edge_pattern, natural_join, project
-from .engine import QueryResult, compute_seed_sets, evaluate_query
+from .engine import QueryPlan, QueryResult, evaluate_query, plan_query
 from .graph import Edge, Graph, GraphLoadError, Node, load_graph, load_graph_files
 from .lang import (
     Bgp,
@@ -52,6 +52,7 @@ __all__ = [
     "Node",
     "Predicate",
     "QueryAst",
+    "QueryPlan",
     "QueryResult",
     "QuerySyntaxError",
     "QueryValidationError",
@@ -64,7 +65,6 @@ __all__ = [
     "Workload",
     "apply_score_topk",
     "classify_result",
-    "compute_seed_sets",
     "evaluate_bgp",
     "evaluate_query",
     "format_query",
@@ -81,6 +81,7 @@ __all__ = [
     "minimize",
     "natural_join",
     "parse_query",
+    "plan_query",
     "project",
     "register_score",
     "run_search",

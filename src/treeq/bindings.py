@@ -49,10 +49,6 @@ def row_sort_key(row: tuple) -> tuple:
 UNIT_TABLE = BindingTable((), (), frozenset({()}))
 
 
-def empty_table(columns: tuple[str, ...] = (), kinds: tuple[str, ...] = ()) -> BindingTable:
-    return BindingTable(columns, kinds, frozenset())
-
-
 def match_edge_pattern(g: Graph, pattern: EdgePattern) -> BindingTable:
     """All directed edge embeddings of one pattern, one row per matching edge."""
     columns = (pattern.source.var, pattern.edge.var, pattern.target.var)

@@ -10,11 +10,9 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from .bindings import evaluate_bgp
-from .engine import compute_seed_sets, evaluate_query
+from .engine import evaluate_query, plan_query
 from .graph import load_graph_files
 from .lang import CtpFilters, parse_query, validate_query
 from .search import ALGORITHMS, SearchConfig, guaranteed_found, run_search
@@ -108,20 +106,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _workload_searches(w: Workload, timeout_ms: int | None):
-    """(seeds, filters) per tree search of a workload."""
+    """(seeds, filters) per tree search of a workload, planned like ``treeq run``."""
     if w.seed_sets is not None:
-        return [(w.seeds(), CtpFilters())], w.seeds().m
-    vq = validate_query(parse_query(w.query_text))
-    tables = [evaluate_bgp(w.graph, b, vq.ast.synthetic) for b in vq.ast.bgps]
-    per_ctp = compute_seed_sets(w.graph, vq, tables)
-    searches = []
-    m = 0
-    for ctp, seeds in zip(vq.ast.ctps, per_ctp):
-        if seeds is None:
-            continue
-        searches.append((seeds, ctp.filters))
-        m = max(m, seeds.m)
-    return searches, m
+        return [(w.seeds(), CtpFilters(timeout_ms=timeout_ms))], w.seeds().m
+    plan = plan_query(w.graph, validate_query(parse_query(w.query_text)), timeout_ms=timeout_ms)
+    searches = [(seeds, cfg.filters) for _, seeds, cfg in plan.searches]
+    return searches, max((seeds.m for seeds, _ in searches), default=0)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -132,8 +122,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if a not in ALGORITHMS:
             print(f"unknown algorithm {a!r}", file=sys.stderr)
             return EXIT_ERROR
-    timeout_ms = _default_timeout_ms(args.timeout_ms)
-    searches, m = _workload_searches(w, timeout_ms)
+    searches, m = _workload_searches(w, _default_timeout_ms(args.timeout_ms))
 
     records = []
     for algo in algos:
@@ -143,8 +132,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             built = found = 0
             timed_out = False
             for seeds, filters in searches:
-                if timeout_ms is not None and filters.timeout_ms is None:
-                    filters = replace(filters, timeout_ms=timeout_ms)
                 cfg = SearchConfig(algorithm=algo, filters=filters)
                 start = time.perf_counter()
                 results, stats = run_search(w.graph, seeds, cfg)

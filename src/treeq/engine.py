@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 from .bindings import UNIT_TABLE, BindingTable, evaluate_bgp, natural_join, project
 from .graph import Graph
-from .lang import Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
-from .search import SearchConfig, SearchStats, run_search
+from .lang import Ctp, Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
+from .search import SearchConfig, run_search
 from .trees import SeedSets
 
 
@@ -24,7 +24,7 @@ class QueryResult:
 
 
 def compute_seed_sets(
-    g: Graph, query: ValidatedQuery, bgp_tables: list[BindingTable]
+    g: Graph, query: ValidatedQuery, bgp_tables: Sequence[BindingTable]
 ) -> list[SeedSets | None]:
     """Derive one seed-set group per tree pattern from the pattern tables.
 
@@ -78,14 +78,43 @@ def compute_seed_sets(
     return out
 
 
-def _ctp_timeout(ctp_filters, ast: QueryAst, default_ms: int | None) -> int | None:
-    if ctp_filters.timeout_ms is not None:
-        return ctp_filters.timeout_ms
-    # one stated budget applies to every tree pattern of the query
-    for other in ast.ctps:
-        if other.filters.timeout_ms is not None:
-            return other.filters.timeout_ms
-    return default_ms
+@dataclass(frozen=True)
+class QueryPlan:
+    """The work a query needs: its pattern tables and one search per tree pattern.
+
+    ``empty`` is set when a pattern table or a non-universal seed set is
+    empty; the query result is then empty and ``searches`` holds nothing.
+    """
+
+    tables: tuple[BindingTable, ...]
+    searches: tuple[tuple[Ctp, SeedSets, SearchConfig], ...]
+    empty: bool = False
+
+
+def plan_query(
+    g: Graph, vq: ValidatedQuery, *, algorithm: str = "molesp", timeout_ms: int | None = None
+) -> QueryPlan:
+    """Evaluate the pattern tables, derive the seed sets, and configure each search.
+
+    A tree pattern without its own ``TIMEOUT`` takes the first budget stated
+    anywhere in the query, so one stated budget covers every tree pattern;
+    ``timeout_ms`` is the default when the query states none.
+    """
+    ast = vq.ast
+    tables = tuple(evaluate_bgp(g, b, ast.synthetic) for b in ast.bgps)
+    if any(len(t) == 0 for t in tables):
+        return QueryPlan(tables, (), empty=True)
+    per_ctp_seeds = compute_seed_sets(g, vq, tables)
+    if any(s is None for s in per_ctp_seeds):
+        return QueryPlan(tables, (), empty=True)
+    stated = [c.filters.timeout_ms for c in ast.ctps if c.filters.timeout_ms is not None]
+    query_timeout = stated[0] if stated else timeout_ms
+    searches = []
+    for ctp, seeds in zip(ast.ctps, per_ctp_seeds):
+        budget = ctp.filters.timeout_ms if ctp.filters.timeout_ms is not None else query_timeout
+        filters = replace(ctp.filters, timeout_ms=budget)
+        searches.append((ctp, seeds, SearchConfig(algorithm=algorithm, filters=filters)))
+    return QueryPlan(tables, tuple(searches))
 
 
 def evaluate_query(
@@ -94,32 +123,24 @@ def evaluate_query(
     *,
     algorithm: str = "molesp",
     timeout_ms: int | None = None,
-    priority: str = "smallest",
-    multi_queue: bool | None = None,
 ) -> QueryResult:
     """Evaluate a query: pattern tables, then seed sets, then one search per
     tree pattern with its filters pushed, then the natural join projected on
     the head.
 
-    ``timeout_ms`` is the per-search default used when a tree pattern does
-    not state its own budget; a search hitting its budget marks the result
+    ``timeout_ms`` is the per-search default used when the query states no
+    budget (see ``plan_query``); a search hitting its budget marks the result
     partial.
     """
     vq = query if isinstance(query, ValidatedQuery) else validate_query(query)
-    ast = vq.ast
-    head = tuple(ast.head)
-
-    tables = [evaluate_bgp(g, b, ast.synthetic) for b in ast.bgps]
-    if any(len(t) == 0 for t in tables):
-        return QueryResult(head, (), False)
-    per_ctp_seeds = compute_seed_sets(g, vq, tables)
-    if any(s is None for s in per_ctp_seeds):
+    head = tuple(vq.ast.head)
+    plan = plan_query(g, vq, algorithm=algorithm, timeout_ms=timeout_ms)
+    if plan.empty:
         return QueryResult(head, (), False)
 
+    tables = list(plan.tables)
     partial = False
-    for ctp, seeds in zip(ast.ctps, per_ctp_seeds):
-        filters = replace(ctp.filters, timeout_ms=_ctp_timeout(ctp.filters, ast, timeout_ms))
-        cfg = SearchConfig(algorithm=algorithm, filters=filters, priority=priority, multi_queue=multi_queue)
+    for ctp, seeds, cfg in plan.searches:
         results, stats = run_search(g, seeds, cfg)
         partial = partial or stats.timed_out
         columns = tuple(m.var for m in ctp.members) + (ctp.tree_var,)
@@ -133,31 +154,3 @@ def evaluate_query(
     projected = project(joined, head)
     rows = tuple(projected.sorted_rows())
     return QueryResult(head, rows, partial)
-
-
-def run_query_searches(
-    g: Graph,
-    query: QueryAst | ValidatedQuery,
-    *,
-    algorithm: str = "molesp",
-    timeout_ms: int | None = None,
-) -> list[tuple[SeedSets | None, list, SearchStats | None]]:
-    """Run only the tree searches of a query, one entry per tree pattern.
-
-    Used by benchmarking to time the searches without the join phase.
-    """
-    vq = query if isinstance(query, ValidatedQuery) else validate_query(query)
-    ast = vq.ast
-    tables = [evaluate_bgp(g, b, ast.synthetic) for b in ast.bgps]
-    per_ctp_seeds = compute_seed_sets(g, vq, tables)
-    out = []
-    for ctp, seeds in zip(ast.ctps, per_ctp_seeds):
-        if seeds is None:
-            out.append((None, [], None))
-            continue
-        filters = replace(ctp.filters, timeout_ms=_ctp_timeout(ctp.filters, ast, timeout_ms))
-        cfg = SearchConfig(algorithm=algorithm, filters=filters)
-        results, stats = run_search(g, seeds, cfg)
-        out.append((seeds, results, stats))
-    return out
-

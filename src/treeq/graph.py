@@ -36,7 +36,7 @@ class Graph:
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
         self.nodes: dict[int, Node] = {}
         self.edges: dict[int, Edge] = {}
-        self._out: dict[int, list[int]] = {}
+        out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
         for n in nodes:
             if n.id in self.nodes:
@@ -44,7 +44,7 @@ class Graph:
             if n.kind not in ("uri", "literal"):
                 raise GraphLoadError(f"node {n.id}: unknown kind {n.kind!r}")
             self.nodes[n.id] = n
-            self._out[n.id] = []
+            out[n.id] = []
             self._in[n.id] = []
         for e in edges:
             if e.id in self.edges:
@@ -55,14 +55,13 @@ class Graph:
             if self.nodes[e.source].kind == "literal":
                 raise GraphLoadError(f"edge {e.id} leaves literal node {e.source}")
             self.edges[e.id] = e
-            self._out[e.source].append(e.id)
+            out[e.source].append(e.id)
             self._in[e.target].append(e.id)
         for nid in self.nodes:
-            self._out[nid].sort()
             self._in[nid].sort()
-        self._degree = {nid: len(self._out[nid]) + len(self._in[nid]) for nid in self.nodes}
+        self._degree = {nid: len(out[nid]) + len(self._in[nid]) for nid in self.nodes}
         self._both: dict[int, list[int]] = {
-            nid: sorted(set(self._out[nid]) | set(self._in[nid])) for nid in self.nodes
+            nid: sorted(set(out[nid]) | set(self._in[nid])) for nid in self.nodes
         }
 
     def __len__(self) -> int:
@@ -76,27 +75,17 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def node(self, nid: int) -> Node:
-        return self.nodes[nid]
-
-    def edge(self, eid: int) -> Edge:
-        return self.edges[eid]
-
     def degree(self, nid: int) -> int:
         """Number of adjacent edges, counting both directions."""
         if nid not in self.nodes:
             raise KeyError(f"unknown node id {nid}")
         return self._degree[nid]
 
-    def adjacent_edges(self, nid: int, mode: str = "both") -> list[int]:
-        """Edge ids adjacent to ``nid``, ascending. ``mode`` is "both" or "outgoing"."""
+    def adjacent_edges(self, nid: int) -> list[int]:
+        """Edge ids adjacent to ``nid`` in either direction, ascending."""
         if nid not in self.nodes:
             raise KeyError(f"unknown node id {nid}")
-        if mode == "both":
-            return self._both[nid]
-        if mode == "outgoing":
-            return self._out[nid]
-        raise ValueError(f"unknown adjacency mode {mode!r}")
+        return self._both[nid]
 
     def incoming_edges(self, nid: int) -> list[int]:
         if nid not in self.nodes:

@@ -460,11 +460,9 @@ def format_query(ast: QueryAst) -> str:
 
 @dataclass(frozen=True)
 class ValidatedQuery:
-    """Checked query with connected groups merged and a variable index."""
+    """Checked query with its edge patterns merged into connected groups."""
 
     ast: QueryAst
-    occurrences: dict[str, tuple[tuple, ...]]
-    tree_vars: frozenset[str]
 
 
 def _check_condition_types(pred: Predicate, where: str) -> None:
@@ -569,20 +567,4 @@ def validate_query(ast: QueryAst) -> ValidatedQuery:
     merged = tuple(
         Bgp(tuple(all_patterns[i] for i in comp)) for comp in _connected_components(all_patterns)
     )
-    rewritten = QueryAst(ast.head, merged, ast.ctps, ast.synthetic)
-
-    occurrences: dict[str, list[tuple]] = {}
-    for bi, bgp in enumerate(rewritten.bgps):
-        for pi, pat in enumerate(bgp.patterns):
-            for pos, pred in enumerate(pat.predicates):
-                occurrences.setdefault(pred.var, []).append(("bgp", bi, pi, pos))
-    for ci, ctp in enumerate(rewritten.ctps):
-        for mi, m in enumerate(ctp.members):
-            occurrences.setdefault(m.var, []).append(("ctp", ci, mi))
-        occurrences.setdefault(ctp.tree_var, []).append(("tree", ci))
-
-    return ValidatedQuery(
-        ast=rewritten,
-        occurrences={v: tuple(occ) for v, occ in occurrences.items()},
-        tree_vars=frozenset(c.tree_var for c in rewritten.ctps),
-    )
+    return ValidatedQuery(QueryAst(ast.head, merged, ast.ctps, ast.synthetic))

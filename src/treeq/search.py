@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph
 from .lang import CtpFilters
@@ -118,10 +118,6 @@ _PRIORITIES: dict[str, Callable[[RootedTree, int], tuple]] = {
 }
 
 
-def register_priority(name: str, fn: Callable[[RootedTree, int], tuple]) -> None:
-    _PRIORITIES[name] = fn
-
-
 # ---------------------------------------------------------------------------
 # Search state
 
@@ -196,39 +192,39 @@ def _make_init(seeds: SeedSets, node: int) -> RootedTree:
     )
 
 
-def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree | None:
-    """Extend ``t`` at its root with edge ``e``; None when any condition fails.
+def admissible_edges(
+    state: SearchState, t: RootedTree | _GenTree, at: Iterable[int], incoming_only: bool = False
+) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(edge, far node, far node's seed bits)`` for every edge that may
+    extend ``t`` at one of the nodes ``at``, node by node in edge-id order.
 
-    Rejections: re-rooted trees never grow; the far endpoint must be a new
-    node and must not be a seed from an already covered set; the edge must
-    pass the label filter and stay within the edge budget. Under UNI only
-    edges pointing into the root are taken, so every tree stays a directed
-    tree away from its root.
+    The tree must be below the edge budget; the edge must pass the label
+    filter; its far endpoint must be a new node and must not be a seed from
+    an already covered set. ``incoming_only`` keeps only edges pointing into
+    the node: rooted search under UNI grows at the root this way, so every
+    tree stays a directed tree away from its root.
     """
-    if t.kind == REROOT:
-        return None
-    g = state.graph
-    edge = g.edges[e]
-    if state.uni:
-        if edge.target != t.root:
-            return None
-        far = edge.source
-    else:
-        if edge.source == t.root:
-            far = edge.target
-        elif edge.target == t.root:
-            far = edge.source
-        else:
-            return None
-    if far in t.nodes:
-        return None
+    if state.max_edges is not None and len(t.key) >= state.max_edges:
+        return
+    g, labels_ok, bits = state.graph, state.labels_ok, state.seeds.bits
+    for n in at:
+        for e in g.incoming_edges(n) if incoming_only else g.adjacent_edges(n):
+            edge = g.edges[e]
+            if labels_ok is not None and edge.label not in labels_ok:
+                continue
+            far = edge.source if edge.target == n else edge.target
+            if far in t.nodes:
+                continue
+            far_bits = bits(far)
+            if far_bits & t.covered:
+                continue
+            yield e, far, far_bits
+
+
+def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree:
+    """Extend ``t`` at its root with edge ``e``, which ``admissible_edges`` admitted."""
+    far = state.graph.other_endpoint(e, t.root)
     far_bits = state.seeds.bits(far)
-    if far_bits & t.covered:
-        return None
-    if state.max_edges is not None and t.size() + 1 > state.max_edges:
-        return None
-    if state.labels_ok is not None and edge.label not in state.labels_ok:
-        return None
     covered = t.covered | far_bits
     return RootedTree(
         key=tuple(sorted(t.key + (e,))),
@@ -361,19 +357,7 @@ def record_for_merging(state: SearchState, t: RootedTree) -> None:
 
 
 def _enqueue_grow_pairs(state: SearchState, t: RootedTree) -> None:
-    if state.max_edges is not None and t.size() >= state.max_edges:
-        return
-    g = state.graph
-    edge_ids = g.incoming_edges(t.root) if state.uni else g.adjacent_edges(t.root)
-    for e in edge_ids:
-        edge = g.edges[e]
-        if state.labels_ok is not None and edge.label not in state.labels_ok:
-            continue
-        far = edge.source if state.uni else g.other_endpoint(e, t.root)
-        if far in t.nodes:
-            continue
-        if state.seeds.bits(far) & t.covered:
-            continue
+    for e, _, _ in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
         pair_key = (t.key, t.root, e)
         if pair_key in state.queued:
             continue
@@ -420,13 +404,8 @@ def merge_all(state: SearchState, t: RootedTree) -> None:
 # Rooted search driver
 
 
-def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> SearchState:
-    """Create a search state with one start tree per seed of each non-universal set.
-
-    A node belonging to several seed sets gets a single start tree covering
-    all of them at once.
-    """
-    state = SearchState(g, seeds, cfg)
+def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
+    """Every seed of the non-universal sets once, set by set, ascending."""
     started: set[int] = set()
     for orig in seeds.active:
         for s in sorted(seeds.sets[orig]):
@@ -435,8 +414,19 @@ def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> SearchState:
             if s not in g.nodes:
                 raise SeedSetError(f"seed {s} is not a graph node")
             started.add(s)
-            state.signatures[s] = state.signatures.get(s, 0) | seeds.bits(s)
-            process_tree(state, _make_init(seeds, s))
+            yield s
+
+
+def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> SearchState:
+    """Create a search state with one start tree per seed of each non-universal set.
+
+    A node belonging to several seed sets gets a single start tree covering
+    all of them at once.
+    """
+    state = SearchState(g, seeds, cfg)
+    for s in _start_nodes(g, seeds):
+        state.signatures[s] = state.signatures.get(s, 0) | seeds.bits(s)
+        process_tree(state, _make_init(seeds, s))
     return state
 
 
@@ -451,8 +441,6 @@ def _drain(state: SearchState) -> None:
         state.stats.queue_pops += 1
         t, e = entry
         grown = try_grow(state, t, e)
-        if grown is None:
-            continue
         _update_signature(state, grown)
         if process_tree(state, grown) == RECORDED and grown.key:
             merge_all(state, grown)
@@ -550,17 +538,10 @@ def _run_generations(state: SearchState) -> None:
                                 queue.append(merged)
 
     current: list[_GenTree] = []
-    started: set[int] = set()
-    for orig in seeds.active:
-        for s in sorted(seeds.sets[orig]):
-            if s in started:
-                continue
-            if s not in g.nodes:
-                raise SeedSetError(f"seed {s} is not a graph node")
-            started.add(s)
-            t = _GenTree((), frozenset((s,)), seeds.bits(s))
-            if keep(t):
-                current.append(t)
+    for s in _start_nodes(g, seeds):
+        t = _GenTree((), frozenset((s,)), seeds.bits(s))
+        if keep(t):
+            current.append(t)
 
     while current:
         if state.deadline_passed():
@@ -571,27 +552,13 @@ def _run_generations(state: SearchState) -> None:
             if state.deadline_passed():
                 state.stats.timed_out = True
                 return
-            for n in sorted(t.nodes):
-                for e in g.adjacent_edges(n):
-                    edge = g.edges[e]
-                    if state.labels_ok is not None and edge.label not in state.labels_ok:
-                        continue
-                    far = g.other_endpoint(e, n)
-                    if far in t.nodes:
-                        continue
-                    far_bits = seeds.bits(far)
-                    if far_bits & t.covered:
-                        continue
-                    if state.max_edges is not None and len(t.key) + 1 > state.max_edges:
-                        continue
-                    grown = _GenTree(
-                        tuple(sorted(t.key + (e,))), t.nodes | {far}, t.covered | far_bits
-                    )
-                    if keep(grown):
-                        nxt.append(grown)
-                        index(grown)
-                        if merging:
-                            merge_round(grown, nxt)
+            for e, far, far_bits in admissible_edges(state, t, sorted(t.nodes)):
+                grown = _GenTree(tuple(sorted(t.key + (e,))), t.nodes | {far}, t.covered | far_bits)
+                if keep(grown):
+                    nxt.append(grown)
+                    index(grown)
+                    if merging:
+                        merge_round(grown, nxt)
         current = nxt
 
 

@@ -91,10 +91,6 @@ class RootedTree:
     path_anchor: int | None = None
     gained: bool = False
 
-    @property
-    def edges(self) -> tuple[int, ...]:
-        return self.key
-
     def size(self) -> int:
         return len(self.key)
 

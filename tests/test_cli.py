@@ -7,9 +7,12 @@ import json
 
 import pytest
 
+from treeq import cli
 from treeq.cli import EXIT_ERROR, EXIT_OK, EXIT_ORACLE_BUDGET, EXIT_PARTIAL, main
+from treeq.search import run_search
+from treeq.synth import Workload, write_workload
 
-from conftest import FIG1_EDGES, FIG1_NODES, Q1_TEXT
+from conftest import FIG1_EDGES, FIG1_NODES, Q1_TEXT, make_graph
 
 
 @pytest.fixture()
@@ -142,6 +145,29 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert all(r[7] == "false" for r in body)
     out = capsys.readouterr().out
     assert "median" in out and "mean" in out
+
+
+def test_bench_budgets_every_ctp_like_run(tmp_path, capsys, monkeypatch):
+    # TIMEOUT on the first tree pattern budgets both searches, as in evaluate_query
+    graph = make_graph(["A", "1", "B", "2", "C"], [(1, 2), (2, 3), (3, 4), (4, 5)])
+    text = (
+        '(?u, ?w) :- (?a[label = "A"], ?b[label = "B"], TREE ?u) TIMEOUT 60000, '
+        '(?b2[label = "B"], ?c[label = "C"], TREE ?w)'
+    )
+    write_workload(Workload("custom", {}, graph, None, text, 1), tmp_path / "w")
+    budgets = []
+
+    def spy(g, seeds, cfg):
+        budgets.append(cfg.filters.timeout_ms)
+        return run_search(g, seeds, cfg)
+
+    monkeypatch.setattr(cli, "run_search", spy)
+    code = main(
+        ["bench", "--workload", str(tmp_path / "w"), "--algos", "molesp", "--reps", "1",
+         "--csv", str(tmp_path / "bench.csv")]
+    )
+    assert code == EXIT_OK
+    assert budgets == [60000, 60000]
 
 
 def test_bench_unknown_algorithm(tmp_path, capsys):

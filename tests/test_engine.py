@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from treeq.bindings import evaluate_bgp
-from treeq.engine import EngineError, compute_seed_sets, evaluate_query
-from treeq.lang import parse_query, validate_query
+from treeq.engine import EngineError, compute_seed_sets, evaluate_query, plan_query
+from treeq.lang import CtpFilters, QueryAst, parse_query, validate_query
+from treeq.search import run_search
 from treeq.synth import gen_cdf, gen_random_instance
 from treeq.trees import ResultTree
 
@@ -139,14 +141,10 @@ def test_cdf_m3_raw_results_exceed_joined_rows():
     joined = evaluate_query(w.graph, vq)
     assert len(joined.rows) == w.expected_results
     # bidirectional, unfiltered tree search finds connections that the join discards
-    from treeq.engine import run_query_searches
-    from dataclasses import replace as dc_replace
-    from treeq.lang import Ctp, QueryAst
-
-    bare_ctps = tuple(dc_replace(c, filters=type(c.filters)()) for c in vq.ast.ctps)
+    bare_ctps = tuple(replace(c, filters=CtpFilters()) for c in vq.ast.ctps)
     bare = validate_query(QueryAst(vq.ast.head, vq.ast.bgps, bare_ctps, vq.ast.synthetic))
-    (entry,) = run_query_searches(w.graph, bare)
-    _, raw_results, _ = entry
+    ((_, seeds, cfg),) = plan_query(w.graph, bare).searches
+    raw_results, _ = run_search(w.graph, seeds, cfg)
     assert len(raw_results) > len(joined.rows)
 
 
@@ -166,6 +164,5 @@ def test_query_level_timeout_shared_across_ctps(path_abc):
         '(?u, ?w) :- (?a[label = "A"], ?b[label = "B"], TREE ?u) TIMEOUT 60000, '
         '(?b2[label = "B"], ?c[label = "C"], TREE ?w)'
     )
-    from treeq.engine import _ctp_timeout
-    vq = validate_query(parse_query(text))
-    assert _ctp_timeout(vq.ast.ctps[1].filters, vq.ast, None) == 60000
+    plan = plan_query(g, validate_query(parse_query(text)), timeout_ms=5)
+    assert [cfg.filters.timeout_ms for _, _, cfg in plan.searches] == [60000, 60000]

@@ -23,9 +23,9 @@ def test_empty_graph():
 
 def test_adjacency_modes(fig1):
     assert fig1.adjacent_edges(7) == [9, 10, 19]
-    assert fig1.adjacent_edges(7, "outgoing") == []
-    assert fig1.adjacent_edges(10, "outgoing") == []
-    assert fig1.adjacent_edges(2, "outgoing") == [1, 3, 5]
+    assert fig1.incoming_edges(7) == [9, 10, 19]
+    assert fig1.adjacent_edges(2) == [1, 3, 5]
+    assert fig1.incoming_edges(2) == []
 
 
 def test_isolated_node_has_no_edges():
@@ -39,8 +39,8 @@ def test_unknown_node_errors(fig1):
         fig1.adjacent_edges(99)
     with pytest.raises(KeyError):
         fig1.degree(99)
-    with pytest.raises(ValueError):
-        fig1.adjacent_edges(7, "incoming")
+    with pytest.raises(KeyError):
+        fig1.incoming_edges(99)
 
 
 def test_edge_referencing_missing_node():
@@ -82,9 +82,9 @@ def test_parallel_edges_allowed():
 
 
 def test_types_parse_and_membership(fig1):
-    assert "entrepreneur" in fig1.node(3).types
-    assert fig1.node(11).types == frozenset()
-    assert fig1.node(11).kind == "literal"
+    assert "entrepreneur" in fig1.nodes[3].types
+    assert fig1.nodes[11].types == frozenset()
+    assert fig1.nodes[11].kind == "literal"
 
 
 def test_round_trip(fig1):
@@ -119,7 +119,8 @@ def test_degree_matches_recomputed_adjacency_on_random_graphs():
             in_count = sum(1 for e in g.edges.values() if e.target == nid)
             assert g.degree(nid) == out_count + in_count
             for eid in g.adjacent_edges(nid):
-                e = g.edge(eid)
+                e = g.edges[eid]
                 assert nid in (e.source, e.target)
-            for eid in g.adjacent_edges(nid, "outgoing"):
-                assert g.edge(eid).source == nid
+            assert len(g.incoming_edges(nid)) == in_count
+            for eid in g.incoming_edges(nid):
+                assert g.edges[eid].target == nid

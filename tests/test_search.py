@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from treeq import search
 from treeq.lang import CtpFilters
 from treeq.search import (
     ALGORITHMS,
@@ -13,6 +14,8 @@ from treeq.search import (
     RECORDED,
     RESULT,
     SearchConfig,
+    _drain,
+    admissible_edges,
     apply_score_topk,
     guaranteed_found,
     init_search,
@@ -33,6 +36,10 @@ from oracles import brute_ctp, oracle_identities, post_filter_identities, result
 
 def _tree(key, root, nodes, covered, kind=GROW, gained=False):
     return RootedTree(tuple(sorted(key)), root, frozenset(nodes), covered, kind, None, gained)
+
+
+def _root_edges(state, t):
+    return [e for e, _, _ in admissible_edges(state, t, (t.root,))]
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +97,7 @@ def test_grow_rejects_node_already_in_tree(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t = _tree((1,), 2, {1, 2}, 0b001)
-    assert try_grow(state, t, 1) is None
+    assert _root_edges(state, t) == [2]  # edge 1 leads back to A
 
 
 def test_grow_rejects_seed_from_covered_set(path_abc):
@@ -98,7 +105,7 @@ def test_grow_rejects_seed_from_covered_set(path_abc):
     seeds = SeedSets([(1,), (4, 6)])  # B and C in one set
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t = _tree((4,), 5, {4, 5}, 0b010)  # contains B, covered set 2
-    assert try_grow(state, t, 5) is None  # would reach C, same set
+    assert _root_edges(state, t) == []  # edge 5 would reach C, same set
 
 
 def test_grow_respects_max_edges_and_labels(path_abc):
@@ -106,18 +113,27 @@ def test_grow_respects_max_edges_and_labels(path_abc):
     cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=1))
     state = init_search(g, seeds, cfg)
     t = _tree((1,), 2, {1, 2}, 0b001)
-    assert try_grow(state, t, 2) is None  # would exceed MAX 1
+    assert _root_edges(state, t) == []  # edge 2 would exceed MAX 1
     cfg2 = SearchConfig(algorithm="molesp", filters=CtpFilters(labels=frozenset({"zzz"})))
     state2 = init_search(g, seeds, cfg2)
     init_a = state2.by_root[1][0]
-    assert try_grow(state2, init_a, 1) is None
+    assert _root_edges(state2, init_a) == []
+    assert not any(state2.queues.values())
 
 
-def test_grow_never_applies_to_rerooted_trees(path_abc):
+def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     g, seeds = path_abc
+    grown_kinds = []
+
+    def spy(state, t, e):
+        grown_kinds.append(t.kind)
+        return try_grow(state, t, e)
+
+    monkeypatch.setattr(search, "try_grow", spy)
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    mo = _tree((4, 5), 4, {4, 5, 6}, 0b110, kind=REROOT)
-    assert try_grow(state, mo, 3) is None
+    _drain(state)
+    assert any(t.kind == REROOT for trees in state.by_root.values() for t in trees)
+    assert grown_kinds and REROOT not in grown_kinds
 
 
 # ---------------------------------------------------------------------------

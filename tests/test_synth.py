@@ -44,7 +44,7 @@ def test_chain_has_parallel_edges():
 def test_line_shapes():
     w = gen_line(3, 1)
     assert w.graph.num_nodes == 5 and w.graph.num_edges == 4
-    assert [w.graph.node(s[0]).label for s in w.seed_sets] == ["A", "B", "C"]
+    assert [w.graph.nodes[s[0]].label for s in w.seed_sets] == ["A", "B", "C"]
     assert gen_line(2, 0).graph.num_edges == 1
     w5 = gen_line(5, 2)
     assert w5.graph.num_nodes == 13 and w5.graph.num_edges == 12
@@ -185,5 +185,5 @@ def test_random_instance_seed_sets_disjoint():
 
 def test_seed_labels_continue_past_the_alphabet():
     w = gen_comb(9, 2, 1, 1)  # 27 seed sets
-    labels = [w.graph.node(s[0]).label for s in w.seed_sets]
+    labels = [w.graph.nodes[s[0]].label for s in w.seed_sets]
     assert labels[0] == "A" and "S27" in labels and len(labels) == 27
