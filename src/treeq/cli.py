@@ -10,6 +10,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import evaluate_query, plan_query
@@ -168,13 +169,18 @@ def _result_identities(results: list[ResultTree]) -> set:
     return {rt.identity() for rt in results}
 
 
-def _check_instance(g, seeds: SeedSets, algo: str, budget_ms: int) -> tuple[str, str]:
-    """Returns (status, message); status in {"pass", "fail", "budget"}."""
-    oracle_cfg = SearchConfig(algorithm="bft", filters=CtpFilters(timeout_ms=budget_ms))
+def _check_instance(g, seeds: SeedSets, filters: CtpFilters, algo: str, budget_ms: int) -> tuple[str, str]:
+    """Returns (status, message); status in {"pass", "fail", "budget"}.
+
+    Both runs search under the ``UNI``/``LABEL``/``MAX`` filters of
+    ``filters``; only the exhaustive oracle has a time budget.
+    """
+    checked = CtpFilters(uni=filters.uni, labels=filters.labels, max_edges=filters.max_edges)
+    oracle_cfg = SearchConfig(algorithm="bft", filters=replace(checked, timeout_ms=budget_ms))
     oracle_results, oracle_stats = run_search(g, seeds, oracle_cfg)
     if oracle_stats.timed_out:
         return "budget", "exhaustive oracle exceeded its budget"
-    algo_results, _ = run_search(g, seeds, SearchConfig(algorithm=algo))
+    algo_results, _ = run_search(g, seeds, SearchConfig(algorithm=algo, filters=checked))
     oracle_ids = _result_identities(oracle_results)
     algo_ids = _result_identities(algo_results)
     extra = algo_ids - oracle_ids
@@ -193,25 +199,26 @@ def _check_instance(g, seeds: SeedSets, algo: str, budget_ms: int) -> tuple[str,
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.algo not in ALGORITHMS:
-        print(f"unknown algorithm {args.algo!r}", file=sys.stderr)
-        return EXIT_ERROR
     instances = []
     if args.workload:
         w = load_workload(args.workload)
+        name = Path(args.workload).name
         searches, _ = _workload_searches(w, None)
-        for seeds, _filters in searches:
-            instances.append((w.graph, seeds, Path(args.workload).name))
+        if not searches:
+            print(f"EMPTY {name}: the query plans no tree search, nothing was checked")
+            return EXIT_ERROR
+        for seeds, filters in searches:
+            instances.append((w.graph, seeds, filters, name))
     else:
         rng = random.Random(args.rng_seed)
         for i in range(args.random):
             g, seeds = gen_random_instance(
                 rng, max_nodes=args.max_nodes, max_edges=args.max_edges, m=args.m
             )
-            instances.append((g, seeds, f"random-{i}"))
+            instances.append((g, seeds, CtpFilters(), f"random-{i}"))
     failures = 0
-    for g, seeds, name in instances:
-        status, message = _check_instance(g, seeds, args.algo, args.oracle_budget_ms)
+    for g, seeds, filters, name in instances:
+        status, message = _check_instance(g, seeds, filters, args.algo, args.oracle_budget_ms)
         if status == "budget":
             print(f"BUDGET {name}: {message}")
             return EXIT_ORACLE_BUDGET
@@ -220,8 +227,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_ERROR if failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input and exit 1; argparse's 2 means a partial result here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="treeq", description=__doc__)
+    parser = _Parser(prog="treeq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="evaluate a query over a TSV graph")
@@ -264,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--max-edges", type=int, default=20)
     p_oracle.add_argument("--m", type=int, default=3)
     p_oracle.add_argument("--rng-seed", type=int, default=0)
-    p_oracle.add_argument("--algo", default="molesp")
+    p_oracle.add_argument("--algo", default="molesp", choices=ALGORITHMS)
     p_oracle.add_argument("--oracle-budget-ms", type=int, default=60000)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
@@ -277,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("oracle-check needs --workload or --random N")
     try:
         return args.func(args)
-    except (ValueError, GenError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -64,9 +64,6 @@ class Graph:
             nid: sorted(set(out[nid]) | set(self._in[nid])) for nid in self.nodes
         }
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)

@@ -66,14 +66,6 @@ class EdgePattern:
 class Bgp:
     patterns: tuple[EdgePattern, ...]
 
-    def variables(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.patterns:
-            for pred in p.predicates:
-                if pred.var not in seen:
-                    seen.append(pred.var)
-        return seen
-
 
 @dataclass(frozen=True)
 class CtpFilters:

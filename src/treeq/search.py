@@ -40,7 +40,6 @@ from .trees import (
 )
 
 ALGORITHMS = ("bft", "bft_m", "bft_am", "gam", "esp", "moesp", "lesp", "molesp")
-ROOTED_ALGORITHMS = ("gam", "esp", "moesp", "lesp", "molesp")
 GENERATION_ALGORITHMS = ("bft", "bft_m", "bft_am")
 EDGE_SET_PRUNED = ("esp", "moesp", "lesp", "molesp")
 
@@ -57,8 +56,6 @@ MULTI_QUEUE_RATIO = 10
 class SearchConfig:
     algorithm: str = "molesp"
     filters: CtpFilters = field(default_factory=CtpFilters)
-    priority: str = "smallest"
-    multi_queue: bool | None = None  # None: automatic by seed-set size ratio
 
 
 @dataclass
@@ -109,13 +106,9 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
     return scored
 
 
-# ---------------------------------------------------------------------------
-# Priority policies
-
-_PRIORITIES: dict[str, Callable[[RootedTree, int], tuple]] = {
-    "smallest": lambda t, e: (t.size(), t.key, t.root, e),
-    "largest": lambda t, e: (-t.size(), t.key, t.root, e),
-}
+def _priority(t: RootedTree, e: int) -> tuple:
+    """Queue order of a grow pair: smaller trees first, ties broken canonically."""
+    return (t.size(), t.key, t.root, e)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +121,6 @@ class SearchState:
     def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
         if cfg.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-        if cfg.priority not in _PRIORITIES:
-            raise ValueError(f"unknown priority policy {cfg.priority!r}")
         if not seeds.active:
             raise SeedSetError("all seed sets are universal")
         self.graph = g
@@ -146,14 +137,11 @@ class SearchState:
         )
 
         sizes = [len(seeds.sets[i]) for i in seeds.active]
-        auto = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
-        self.multi_queue = auto if cfg.multi_queue is None else cfg.multi_queue
-        self._priority = _PRIORITIES[cfg.priority]
+        self.multi_queue = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
         # re-rooted copies break the root-reaches-all invariant of UNI trees
         self.reroot_enabled = cfg.algorithm in ("moesp", "molesp") and not self.uni
 
         self.queues: dict[int, list[tuple]] = {}
-        self.queued: set[tuple] = set()
         self.hist: set = set()
         self.by_root: dict[int, list[RootedTree]] = {}
         self.rooted_keys: set[tuple] = set()
@@ -165,7 +153,8 @@ class SearchState:
 
     def push_pair(self, t: RootedTree, e: int) -> None:
         bucket = t.covered if self.multi_queue else 0
-        heappush(self.queues.setdefault(bucket, []), self._priority(t, e) + (e, t))
+        # (key, root, e) is unique per pair, so entries never compare trees
+        heappush(self.queues.setdefault(bucket, []), _priority(t, e) + (t,))
 
     def pop_pair(self) -> tuple[RootedTree, int] | None:
         """Pop from the queue with the fewest pending pairs, best entry first."""
@@ -237,21 +226,25 @@ def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree:
     )
 
 
-def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree | None:
-    """Union two trees sharing exactly their root; None when conditions fail.
+def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree, n_bits: int) -> bool:
+    """Whether two trees that share a node ``n`` with seed bits ``n_bits`` may be united.
 
-    The covered seed sets of the two trees may overlap only in sets whose
-    chosen seed is the shared root itself; a set covered through two
-    different nodes would put two of its seeds in the merged tree.
+    Their covered seed sets may overlap only in sets whose chosen seed is
+    ``n`` itself, since a set covered through two different nodes would put
+    two of its seeds in the union; together they must stay within the edge
+    budget; and ``n`` must be their only common node. The cheap checks come
+    first: rooted search rejects most partners on the seed sets.
     """
-    if t1.root != t2.root:
-        return None
-    if len(t1.nodes & t2.nodes) != 1:
-        return None
-    common = t1.covered & t2.covered
-    if common & ~state.seeds.bits(t1.root):
-        return None
-    if state.max_edges is not None and t1.size() + t2.size() > state.max_edges:
+    return (
+        not (t1.covered & t2.covered & ~n_bits)
+        and (state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges)
+        and len(t1.nodes & t2.nodes) == 1
+    )
+
+
+def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree | None:
+    """Union two trees sharing exactly their root; None when ``mergeable`` refuses."""
+    if t1.root != t2.root or not mergeable(state, t1, t2, state.seeds.bits(t1.root)):
         return None
     covered = t1.covered | t2.covered
     return RootedTree(
@@ -311,26 +304,21 @@ def _update_signature(state: SearchState, t: RootedTree) -> None:
         state.signatures[t.root] = state.signatures.get(t.root, 0) | bits
 
 
-def _record_result(state: SearchState, t: RootedTree) -> None:
-    rt = _to_result(state, t)
+def _record_result(state: SearchState, edges: tuple[int, ...], nodes: Iterable[int], rep: int) -> None:
+    """Report a tree covering every seed set, once per identity.
+
+    ``edges`` is ascending; ``rep`` is the tree's root and stands in for
+    every universal seed set in the seed tuple.
+    """
+    seeds = state.seeds
+    nodes = tuple(sorted(nodes))
+    chosen = seeds.chosen_seeds(nodes)
+    seed_tuple = tuple(chosen[i] if not seeds.universal[i] else rep for i in range(seeds.m))
+    rt = ResultTree(edges, nodes, seed_tuple, rep)
     ident = rt.identity()
     if ident not in state.results:
         state.results[ident] = rt
         state.stats.results_found += 1
-
-
-def _to_result(state: SearchState, t: RootedTree) -> ResultTree:
-    seeds = state.seeds
-    chosen = seeds.chosen_seeds(t.nodes)
-    seed_tuple = tuple(
-        chosen[i] if not seeds.universal[i] else t.root for i in range(seeds.m)
-    )
-    return ResultTree(
-        edges=t.key,
-        nodes=tuple(sorted(t.nodes)),
-        seed_tuple=seed_tuple,
-        root=t.root,
-    )
 
 
 def record_for_merging(state: SearchState, t: RootedTree) -> None:
@@ -358,10 +346,6 @@ def record_for_merging(state: SearchState, t: RootedTree) -> None:
 
 def _enqueue_grow_pairs(state: SearchState, t: RootedTree) -> None:
     for e, _, _ in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
-        pair_key = (t.key, t.root, e)
-        if pair_key in state.queued:
-            continue
-        state.queued.add(pair_key)
         state.push_pair(t, e)
 
 
@@ -373,7 +357,7 @@ def process_tree(state: SearchState, t: RootedTree) -> str:
     state.stats.provenances_built += 1
     _hist_add(state, t)
     if is_result(t, state.seeds):
-        _record_result(state, t)
+        _record_result(state, t.key, t.nodes, t.root)
         return RESULT
     record_for_merging(state, t)
     if t.kind != REROOT:
@@ -486,13 +470,7 @@ def _run_generations(state: SearchState) -> None:
             nodes.update((e.source, e.target))
         if not minimized:
             nodes = set(t.nodes) & seeds.seed_nodes()
-        chosen = seeds.chosen_seeds(nodes)
-        rep = min(nodes)
-        seed_tuple = tuple(chosen[i] if not seeds.universal[i] else rep for i in range(seeds.m))
-        rt = ResultTree(tuple(sorted(minimized)), tuple(sorted(nodes)), seed_tuple, rep)
-        if rt.identity() not in state.results:
-            state.results[rt.identity()] = rt
-            state.stats.results_found += 1
+        _record_result(state, tuple(sorted(minimized)), nodes, min(nodes))
 
     def keep(t: _GenTree) -> bool:
         ident = t.identity()
@@ -512,19 +490,13 @@ def _run_generations(state: SearchState) -> None:
 
     def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
         queue = [t]
-        while queue:
-            cur = queue.pop(0)
-            seen: set[int] = set()
+        for cur in queue:  # bft_am appends merge products while iterating
             for n in sorted(cur.nodes):
-                allowed = seeds.full_mask & ~(cur.covered & ~seeds.bits(n))
+                n_bits = seeds.bits(n)
+                allowed = seeds.full_mask & ~(cur.covered & ~n_bits)
                 for mask in _submasks(allowed):
                     for partner in list(by_node_cov.get((n, mask), ())):
-                        if id(partner) in seen or not partner.key:
-                            continue
-                        seen.add(id(partner))
-                        if len(cur.nodes & partner.nodes) != 1:
-                            continue
-                        if state.max_edges is not None and len(cur.key) + len(partner.key) > state.max_edges:
+                        if not partner.key or not mergeable(state, cur, partner, n_bits):
                             continue
                         merged = _GenTree(
                             tuple(sorted(cur.key + partner.key)),

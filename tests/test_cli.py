@@ -11,6 +11,7 @@ from treeq import cli
 from treeq.cli import EXIT_ERROR, EXIT_OK, EXIT_ORACLE_BUDGET, EXIT_PARTIAL, main
 from treeq.search import run_search
 from treeq.synth import Workload, write_workload
+from treeq.trees import ResultTree
 
 from conftest import FIG1_EDGES, FIG1_NODES, Q1_TEXT, make_graph
 
@@ -216,9 +217,73 @@ def test_oracle_check_budget_exit(tmp_path, capsys):
     assert code == EXIT_ORACLE_BUDGET
 
 
+def test_oracle_check_searches_under_the_query_filters(tmp_path, capsys, monkeypatch):
+    main(["gen", "--family", "cdf", "--m", "3", "--NT", "1", "--NL", "2", "--SL", "2", "--out", str(tmp_path / "w")])
+    seen = []
+
+    def spy(g, seeds, cfg):
+        seen.append((cfg.algorithm, cfg.filters.uni))
+        return run_search(g, seeds, cfg)
+
+    monkeypatch.setattr(cli, "run_search", spy)
+    code = main(["oracle-check", "--workload", str(tmp_path / "w"), "--algo", "molesp"])
+    assert code == EXIT_OK
+    assert seen == [("bft", True), ("molesp", True)]  # the cdf m=3 query carries UNI
+
+
+def _break_algorithm(monkeypatch, change):
+    def spy(g, seeds, cfg):
+        results, stats = run_search(g, seeds, cfg)
+        return (change(results) if cfg.algorithm == "molesp" else results), stats
+
+    monkeypatch.setattr(cli, "run_search", spy)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda results: results + [ResultTree((999,), (998, 999), (998, 999, 999), 999)], "not in the oracle"),
+        (lambda results: results[1:], "missing guaranteed"),
+    ],
+)
+def test_oracle_check_reports_failures(tmp_path, capsys, monkeypatch, change, reason):
+    main(["gen", "--family", "line", "--m", "3", "--nL", "1", "--out", str(tmp_path / "w")])
+    capsys.readouterr()
+    _break_algorithm(monkeypatch, change)
+    code = main(["oracle-check", "--workload", str(tmp_path / "w"), "--algo", "molesp"])
+    out = capsys.readouterr().out
+    assert code == EXIT_ERROR
+    assert out.startswith("FAIL w:") and reason in out
+
+
+def test_oracle_check_empty_plan_is_an_error(tmp_path, capsys):
+    graph = make_graph(["A", "1", "B"], [(1, 2), (2, 3)])
+    text = '(?w) :- (?a[label = "A"], ?z[label = "Z"], TREE ?w)'
+    write_workload(Workload("custom", {}, graph, None, text, 0), tmp_path / "w")
+    capsys.readouterr()
+    code = main(["oracle-check", "--workload", str(tmp_path / "w"), "--algo", "molesp"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().out == "EMPTY w: the query plans no tree search, nothing was checked\n"
+
+
 def test_oracle_check_needs_inputs(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["oracle-check", "--algo", "molesp"])
+    assert exc.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--random", "1", "--algo", "bogus"],
+        ["run", "--graph-nodes", "n.tsv", "--graph-edges", "e.tsv", "--query", "q.eql", "--algo", "bogus"],
+    ],
+)
+def test_unknown_algorithm_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_gen_missing_parameters_reported(tmp_path, capsys):

@@ -67,6 +67,20 @@ def test_malformed_row_reported_with_line():
         load_graph(["1\ta\turi\t", "2\tb\turi\t"], ["1\t1\tx\t2", "2\t1\tx"])
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([Node(1), Node(1)], [], "duplicate node id 1"),
+        ([Node(1, kind="blank")], [], "node 1: unknown kind 'blank'"),
+        ([Node(1), Node(2)], [Edge(1, 1, 2), Edge(1, 2, 1)], "duplicate edge id 1"),
+        ([Node(1)], [Edge(1, 1, 99)], "edge 1 references unknown node 99"),
+    ],
+)
+def test_graph_constructor_rejects_inconsistent_input(nodes, edges, message):
+    with pytest.raises(GraphLoadError, match=message):
+        Graph(nodes, edges)
+
+
 def test_literal_node_cannot_have_outgoing_edges():
     with pytest.raises(GraphLoadError, match="literal"):
         Graph([Node(1, "a", "literal"), Node(2, "b")], [Edge(1, 1, 2, "x")])

@@ -42,6 +42,10 @@ def _root_edges(state, t):
     return [e for e, _, _ in admissible_edges(state, t, (t.root,))]
 
 
+def _pending_pairs(state):
+    return sum(len(q) for q in state.queues.values())
+
+
 # ---------------------------------------------------------------------------
 # start trees
 
@@ -51,7 +55,7 @@ def test_init_creates_one_tree_per_seed(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     assert sorted(state.by_root) == [1, 4, 6]
     # queued grow pairs: one for A, two for B, one for C
-    assert sum(len(q) for q in state.queues.values()) == 4
+    assert _pending_pairs(state) == 4
 
 
 def test_init_same_node_in_two_sets_is_a_result(path_abc):
@@ -283,10 +287,10 @@ def test_process_tree_outcomes(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     full = _tree((1, 2, 3, 4, 5), 6, {1, 2, 3, 4, 5, 6}, 0b111, kind=GROW)
-    queued_before = len(state.queued)
+    queued_before = _pending_pairs(state)
     assert process_tree(state, full) == RESULT
     assert len(state.results) == 1
-    assert len(state.queued) == queued_before  # results are never grown
+    assert _pending_pairs(state) == queued_before  # results are never grown
     pruned_before = state.stats.trees_pruned
     assert process_tree(state, full) == PRUNED
     assert state.stats.trees_pruned == pruned_before + 1
@@ -296,9 +300,9 @@ def test_rerooted_trees_are_not_enqueued(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     mo = _tree((4,), 4, {4, 5}, 0b010, kind=REROOT)
-    queued_before = len(state.queued)
+    queued_before = _pending_pairs(state)
     assert process_tree(state, mo) == RECORDED
-    assert len(state.queued) == queued_before
+    assert _pending_pairs(state) == queued_before
 
 
 def test_merge_all_with_no_partners_is_noop(path_abc):
@@ -389,20 +393,22 @@ def test_molesp_complete_on_random_m3_sample():
         assert result_identities(found) == result_identities(baseline)
 
 
-def test_molesp_complete_under_largest_first_order():
+def test_molesp_complete_under_largest_first_order(monkeypatch):
+    monkeypatch.setattr(search, "_priority", lambda t, e: (-t.size(), t.key, t.root, e))
     rng = random.Random(616)
     for _ in range(25):
         g, seeds = gen_random_instance(rng, max_nodes=9, max_edges=14, n_labels=3, m=3, max_set_size=2)
         baseline, _ = run_search(g, seeds, SearchConfig(algorithm="bft"))
-        found, _ = run_search(g, seeds, SearchConfig(algorithm="molesp", priority="largest"))
+        found, _ = run_search(g, seeds, SearchConfig(algorithm="molesp"))
         assert result_identities(found) == result_identities(baseline)
 
 
 def test_multi_queue_mode_changes_nothing_semantically(fig1):
-    seeds = SeedSets([(2, 4), (3, 6), (9,)])
-    default, _ = run_search(fig1, seeds, SearchConfig(algorithm="molesp"))
-    forced, _ = run_search(fig1, seeds, SearchConfig(algorithm="molesp", multi_queue=True))
-    assert result_identities(default) == result_identities(forced)
+    for seeds in (SeedSets([tuple(range(1, 11)), (11,)]), SeedSets([tuple(range(1, 11)), (11,), (9,)])):
+        assert init_search(fig1, seeds, SearchConfig(algorithm="molesp")).multi_queue
+        baseline, _ = run_search(fig1, seeds, SearchConfig(algorithm="bft"))
+        found, _ = run_search(fig1, seeds, SearchConfig(algorithm="molesp"))
+        assert result_identities(found) == result_identities(baseline)
 
 
 def test_multi_queue_engages_automatically_on_skewed_sets(fig1):
@@ -511,8 +517,6 @@ def test_pushed_filters_match_post_filtered_baseline():
 def test_invalid_configs(fig1):
     with pytest.raises(ValueError, match="unknown algorithm"):
         run_search(fig1, SeedSets([(2,)]), SearchConfig(algorithm="dijkstra"))
-    with pytest.raises(ValueError, match="unknown priority"):
-        run_search(fig1, SeedSets([(2,)]), SearchConfig(priority="random"))
     with pytest.raises(SeedSetError, match="not a graph node"):
         run_search(fig1, SeedSets([(99,)]), SearchConfig())
 
