@@ -6,7 +6,7 @@ seed sets, found by a family of best-first search algorithms with edge-set
 pruning.
 """
 
-from .bindings import BindingTable, evaluate_bgp, match_edge_pattern, natural_join, project
+from .bindings import BindingTable, evaluate_bgp, join_all, match_edge_pattern, natural_join, project
 from .engine import QueryPlan, QueryResult, evaluate_query, plan_query
 from .graph import Edge, Graph, GraphLoadError, Node, load_graph, load_graph_files
 from .lang import (
@@ -74,6 +74,7 @@ __all__ = [
     "gen_line",
     "gen_star",
     "guaranteed_found",
+    "join_all",
     "load_graph",
     "load_graph_files",
     "load_workload",

@@ -37,11 +37,26 @@ EXIT_PARTIAL = 2
 EXIT_ORACLE_BUDGET = 3
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for budgets and repetition counts."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def _default_timeout_ms(value: int | None) -> int | None:
     if value is not None:
         return value
     env = os.environ.get("CTP_DEFAULT_TIMEOUT_MS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"CTP_DEFAULT_TIMEOUT_MS {exc}") from None
 
 
 def _tree_cell(rt: ResultTree, with_root: bool) -> dict:
@@ -244,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--graph-edges", required=True)
     p_run.add_argument("--query", required=True)
     p_run.add_argument("--algo", default="molesp", choices=ALGORITHMS)
-    p_run.add_argument("--timeout-ms", type=int, default=None)
+    p_run.add_argument("--timeout-ms", type=_positive_int, default=None)
     p_run.add_argument("--output", default="json", choices=("json", "tsv"))
     p_run.set_defaults(func=cmd_run)
 
@@ -267,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time algorithms on a workload")
     p_bench.add_argument("--workload", required=True)
     p_bench.add_argument("--algos", required=True)
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--timeout-ms", type=int, default=None)
+    p_bench.add_argument("--reps", type=_positive_int, default=3)
+    p_bench.add_argument("--timeout-ms", type=_positive_int, default=None)
     p_bench.add_argument("--csv", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -280,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--m", type=int, default=3)
     p_oracle.add_argument("--rng-seed", type=int, default=0)
     p_oracle.add_argument("--algo", default="molesp", choices=ALGORITHMS)
-    p_oracle.add_argument("--oracle-budget-ms", type=int, default=60000)
+    p_oracle.add_argument("--oracle-budget-ms", type=_positive_int, default=60000)
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

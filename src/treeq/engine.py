@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from .bindings import UNIT_TABLE, BindingTable, evaluate_bgp, natural_join, project
+from .bindings import BindingTable, evaluate_bgp, join_all
 from .graph import Graph
 from .lang import Ctp, Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
 from .search import SearchConfig, run_search
@@ -98,8 +98,11 @@ def plan_query(
 
     A tree pattern without its own ``TIMEOUT`` takes the first budget stated
     anywhere in the query, so one stated budget covers every tree pattern;
-    ``timeout_ms`` is the default when the query states none.
+    ``timeout_ms`` is the default when the query states none and must be
+    positive.
     """
+    if timeout_ms is not None and timeout_ms < 1:
+        raise EngineError(f"timeout_ms must be positive, got {timeout_ms}")
     ast = vq.ast
     tables = tuple(evaluate_bgp(g, b, ast.synthetic) for b in ast.bgps)
     if any(len(t) == 0 for t in tables):
@@ -125,8 +128,8 @@ def evaluate_query(
     timeout_ms: int | None = None,
 ) -> QueryResult:
     """Evaluate a query: pattern tables, then seed sets, then one search per
-    tree pattern with its filters pushed, then the natural join projected on
-    the head.
+    tree pattern with its filters pushed, then the natural join of all
+    tables projected on the head (see ``join_all``).
 
     ``timeout_ms`` is the per-search default used when the query states no
     budget (see ``plan_query``); a search hitting its budget marks the result
@@ -148,9 +151,5 @@ def evaluate_query(
         rows = frozenset(rt.seed_tuple + (rt,) for rt in results)
         tables.append(BindingTable(columns, kinds, rows))
 
-    joined = UNIT_TABLE
-    for table in tables:
-        joined = natural_join(joined, table)
-    projected = project(joined, head)
-    rows = tuple(projected.sorted_rows())
+    rows = tuple(join_all(tables, head).sorted_rows())
     return QueryResult(head, rows, partial)

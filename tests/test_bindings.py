@@ -8,16 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeq import bindings
 from treeq.bindings import (
+    UNIT_TABLE,
     BindingTable,
     JoinKindError,
     evaluate_bgp,
+    join_all,
     match_edge_pattern,
     natural_join,
     project,
 )
+from treeq.engine import evaluate_query
+from treeq.graph import Edge, Graph, Node
 from treeq.lang import parse_query, validate_query
-from treeq.synth import gen_random_instance
+from treeq.synth import gen_cdf, gen_random_instance
+from treeq.trees import ResultTree
 
 from oracles import brute_bgp_rows
 
@@ -154,3 +160,132 @@ def test_bgp_matches_brute_force_on_random_graphs():
                 tuple(row[columns.index(c)] for c in table.columns) for row in rows
             }
             assert table.rows == projected
+
+
+def _nested_loop_join(a, b):
+    """Reference natural join: every pair of rows that agrees on the shared columns."""
+    shared = [c for c in a.columns if c in b.columns]
+    rest = [i for i, c in enumerate(b.columns) if c not in shared]
+    rows = {
+        ra + tuple(rb[i] for i in rest)
+        for ra in a.rows
+        for rb in b.rows
+        if all(ra[a.columns.index(c)] == rb[b.columns.index(c)] for c in shared)
+    }
+    return a.columns + tuple(b.columns[i] for i in rest), rows
+
+
+@pytest.mark.parametrize("sizes", [(2, 9), (9, 2), (5, 5)])
+def test_join_kernel_is_the_same_whichever_side_is_smaller(sizes):
+    rng = random.Random(sum(sizes))
+    a_rows = frozenset((rng.randrange(3), rng.randrange(4)) for _ in range(sizes[0]))
+    b_rows = frozenset((rng.randrange(4), rng.randrange(5), rng.randrange(3)) for _ in range(sizes[1]))
+    a = BindingTable(("x", "y"), ("node", "node"), a_rows)
+    b = BindingTable(("y", "z", "x"), ("node", "edge", "node"), b_rows)
+    c = BindingTable(("w",), ("node",), frozenset((i,) for i in range(sizes[1])))
+    for left, right in ((a, b), (b, a), (a, c), (c, b)):
+        joined = natural_join(left, right)
+        columns, rows = _nested_loop_join(left, right)
+        assert joined.columns == columns
+        kinds = tuple(left.kind_of(c) if c in left.columns else right.kind_of(c) for c in columns)
+        assert joined.kinds == kinds
+        assert joined.rows == rows
+
+
+_TREES = [ResultTree((e,), (e, e + 1), (e,), e) for e in range(3)]
+
+
+def _random_tables(rng, shape):
+    """Three or four tables over columns a..e (and tree column t) of the given shape."""
+    def cell(column):
+        return rng.choice(_TREES) if column == "t" else rng.randrange(3)
+
+    def table(columns):
+        kinds = tuple("tree" if c == "t" else "node" for c in columns)
+        rows = frozenset(tuple(cell(c) for c in columns) for _ in range(rng.randrange(1, 10)))
+        return BindingTable(tuple(columns), kinds, rows)
+
+    if shape == "connected":
+        layout = [("a", "b"), ("b", "c"), ("c", "d", "a"), ("d", "e")]
+    elif shape == "disconnected":
+        layout = [("a", "b"), ("c",), ("b", "d"), ("e",)]
+    elif shape == "empty":
+        layout = [("a", "b"), ("b", "c"), ("c", "d")]
+    else:  # a tree column shared by two tables, as two tree patterns can share one
+        layout = [("a", "t"), ("t", "b"), ("b", "c")]
+    tables = [table(rng.sample(cols, len(cols))) for cols in layout[: rng.randrange(3, len(layout) + 1)]]
+    if shape == "empty":
+        victim = rng.randrange(len(tables))
+        tables[victim] = BindingTable(tables[victim].columns, tables[victim].kinds, frozenset())
+    rng.shuffle(tables)
+    return tables
+
+
+@pytest.mark.parametrize("shape", ["connected", "disconnected", "empty", "tree"])
+def test_join_all_equals_the_fixed_order_fold(shape):
+    rng = random.Random(shape)
+    for _ in range(150):
+        tables = _random_tables(rng, shape)
+        columns = list(dict.fromkeys(c for t in tables for c in t.columns))
+        keep = rng.sample(columns, rng.randrange(len(columns) + 1))
+        fold = UNIT_TABLE
+        for t in tables:
+            fold = natural_join(fold, t)
+        expected = project(fold, keep)
+        got = join_all(tables, keep)
+        assert (got.columns, got.kinds, got.rows) == (expected.columns, expected.kinds, expected.rows)
+
+
+@pytest.mark.parametrize("keep", [(), ("x",), ("y",)])
+def test_join_all_still_rejects_conflicting_kinds(keep):
+    small = BindingTable(("x",), ("node",), frozenset({(1,)}))
+    other = BindingTable(("y",), ("node",), frozenset({(2,), (3,)}))
+    edges = BindingTable(("x", "y"), ("edge", "node"), frozenset({(1, 2), (4, 3), (5, 5)}))
+    for tables in ([small, other, edges], [edges, other, small]):
+        with pytest.raises(JoinKindError):
+            join_all(tables, keep)
+
+
+def test_join_all_of_no_tables_is_the_unit_table():
+    assert join_all([], ()) == UNIT_TABLE
+
+
+def _spy_on_joins(monkeypatch):
+    calls = []
+    real = bindings.natural_join
+
+    def spy(a, b):
+        out = real(a, b)
+        calls.append((len(a), len(b), len(out)))
+        return out
+
+    monkeypatch.setattr(bindings, "natural_join", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_query_join_forms_no_needless_cartesian_product(monkeypatch, seed):
+    # the two pattern groups of the cdf query share no variable; each joins the tree table first
+    w = gen_cdf(2, 16, 64, 3, seed)
+    calls = _spy_on_joins(monkeypatch)
+    result = evaluate_query(w.graph, parse_query(w.query_text))
+    assert len(result.rows) == w.expected_results
+    assert calls
+    assert all(out <= max(na, nb) for na, nb, out in calls), calls
+
+
+def test_pattern_group_joins_along_shared_variables(monkeypatch):
+    # p and r are rarer than q, but share no variable with each other
+    nodes = [Node(i) for i in range(1, 41)]
+    edges = [Edge(i, 10 + i, 20 + i, "q") for i in range(1, 11)]
+    edges += [Edge(20 + i, i, 10 + i, "p") for i in range(1, 5)]
+    edges += [Edge(30 + i, 20 + i, 30 + i, "r") for i in range(3, 7)]
+    g = Graph(nodes, edges)
+    text = '(?a, ?d) :- (?a, "p", ?b), (?b, "q", ?c), (?c, "r", ?d)'
+    vq = validate_query(parse_query(text))
+    calls = _spy_on_joins(monkeypatch)
+    table = evaluate_bgp(g, vq.ast.bgps[0], vq.ast.synthetic)
+    assert table.columns == ("a", "b", "c", "d")
+    assert table.rows == frozenset({(3, 13, 23, 33), (4, 14, 24, 34)})
+    assert len(calls) == 2
+    assert all(out <= max(na, nb) for na, nb, out in calls), calls

@@ -106,6 +106,49 @@ def test_env_var_supplies_default_timeout(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PARTIAL
 
 
+@pytest.mark.parametrize(
+    "command, extra, env, named",
+    [
+        ("run", ["--timeout-ms", "0"], None, "--timeout-ms"),
+        ("run", ["--timeout-ms", "-5"], None, "--timeout-ms"),
+        ("run", [], "0", "CTP_DEFAULT_TIMEOUT_MS"),
+        ("run", [], "abc", "CTP_DEFAULT_TIMEOUT_MS"),
+        ("bench", ["--reps", "0"], None, "--reps"),
+        ("bench", ["--timeout-ms", "0"], None, "--timeout-ms"),
+        ("bench", [], "-1", "CTP_DEFAULT_TIMEOUT_MS"),
+        ("oracle-check", ["--oracle-budget-ms", "0"], None, "--oracle-budget-ms"),
+    ],
+    ids=["run-timeout-0", "run-timeout-neg", "run-env-0", "run-env-abc", "bench-reps-0", "bench-timeout-0",
+         "bench-env-neg", "oracle-budget-0"],
+)
+def test_bad_budgets_and_reps_exit_1_naming_the_setting(
+    tmp_path, fig1_files, capsys, monkeypatch, command, extra, env, named
+):
+    nodes, edges = fig1_files
+    qfile = tmp_path / "q.eql"
+    qfile.write_text(Q1_TEXT, encoding="utf-8")
+    graph = make_graph(["A", "1", "B"], [(1, 2), (2, 3)])
+    text = '(?w) :- (?a[label = "A"], ?b[label = "B"], TREE ?w)'
+    write_workload(Workload("custom", {}, graph, None, text, 1), tmp_path / "w")
+    argv = {
+        "run": ["run", "--graph-nodes", str(nodes), "--graph-edges", str(edges), "--query", str(qfile)],
+        "bench": ["bench", "--workload", str(tmp_path / "w"), "--algos", "molesp", "--csv", str(tmp_path / "b.csv")],
+        "oracle-check": ["oracle-check", "--workload", str(tmp_path / "w")],
+    }[command] + extra
+    if env is None:
+        monkeypatch.delenv("CTP_DEFAULT_TIMEOUT_MS", raising=False)
+    else:
+        monkeypatch.setenv("CTP_DEFAULT_TIMEOUT_MS", env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert named in captured.err and "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_families(tmp_path, capsys):
     assert main(["gen", "--family", "chain", "--N", "3", "--out", str(tmp_path / "c")]) == EXIT_OK
     manifest = json.loads((tmp_path / "c" / "workload.json").read_text())

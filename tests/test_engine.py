@@ -166,3 +166,9 @@ def test_query_level_timeout_shared_across_ctps(path_abc):
     )
     plan = plan_query(g, validate_query(parse_query(text)), timeout_ms=5)
     assert [cfg.filters.timeout_ms for _, _, cfg in plan.searches] == [60000, 60000]
+
+
+@pytest.mark.parametrize("timeout_ms", [0, -5])
+def test_plan_rejects_budgets_below_one(fig1, timeout_ms):
+    with pytest.raises(EngineError, match="timeout_ms must be positive"):
+        plan_query(fig1, validate_query(parse_query(Q1_TEXT)), timeout_ms=timeout_ms)
