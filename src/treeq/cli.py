@@ -38,7 +38,7 @@ EXIT_ORACLE_BUDGET = 3
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for budgets and repetition counts."""
+    """Argparse type for budgets, repetition and instance counts."""
     try:
         if int(text) >= 1:
             return int(text)
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check", help="compare an algorithm against the exhaustive baseline")
     p_oracle.add_argument("--workload")
-    p_oracle.add_argument("--random", type=int, default=0)
+    p_oracle.add_argument("--random", type=_positive_int, default=0)
     p_oracle.add_argument("--max-nodes", type=int, default=12)
     p_oracle.add_argument("--max-edges", type=int, default=20)
     p_oracle.add_argument("--m", type=int, default=3)

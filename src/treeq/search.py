@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph
 from .lang import CtpFilters
@@ -116,7 +116,7 @@ def _priority(t: RootedTree, e: int) -> tuple:
 
 
 class SearchState:
-    """All mutable bookkeeping of one search; owned by a single execution."""
+    """The bookkeeping both search drivers share; owned by a single execution."""
 
     def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
         if cfg.algorithm not in ALGORITHMS:
@@ -135,7 +135,17 @@ class SearchState:
         self.deadline: float | None = (
             time.monotonic() + f.timeout_ms / 1000.0 if f.timeout_ms is not None else None
         )
+        self.results: dict[tuple, ResultTree] = {}
 
+    def deadline_passed(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+
+class RootedState(SearchState):
+    """Adds the grow queues, the pruning history and the merge partners of rooted search."""
+
+    def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
+        super().__init__(g, seeds, cfg)
         sizes = [len(seeds.sets[i]) for i in seeds.active]
         self.multi_queue = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
         # re-rooted copies break the root-reaches-all invariant of UNI trees
@@ -145,11 +155,7 @@ class SearchState:
         self.hist: set = set()
         self.by_root: dict[int, list[RootedTree]] = {}
         self.rooted_keys: set[tuple] = set()
-        self.results: dict[tuple, ResultTree] = {}
         self.signatures: dict[int, int] = {}
-
-    def deadline_passed(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
 
     def push_pair(self, t: RootedTree, e: int) -> None:
         bucket = t.covered if self.multi_queue else 0
@@ -226,26 +232,22 @@ def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree:
     )
 
 
-def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree, n_bits: int) -> bool:
-    """Whether two trees that share a node ``n`` with seed bits ``n_bits`` may be united.
+def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree) -> bool:
+    """Whether two trees that share a node, and whose covered seed sets overlap
+    at most in that node's own seed bits, may be united.
 
-    Their covered seed sets may overlap only in sets whose chosen seed is
-    ``n`` itself, since a set covered through two different nodes would put
-    two of its seeds in the union; together they must stay within the edge
-    budget; and ``n`` must be their only common node. The cheap checks come
-    first: rooted search rejects most partners on the seed sets.
+    Both drivers test the seed sets on integer masks while choosing partners,
+    since most partners fail there (a set covered through two different nodes
+    would put two of its seeds in the union). What remains is the edge budget
+    and that the shared node is the only common one; the generation driver
+    has already checked the latter on node bitsets, before this call.
     """
-    return (
-        not (t1.covered & t2.covered & ~n_bits)
-        and (state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges)
-        and len(t1.nodes & t2.nodes) == 1
-    )
+    if state.max_edges is not None and len(t1.key) + len(t2.key) > state.max_edges:
+        return False
+    return len(t1.nodes & t2.nodes) == 1
 
 
-def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree | None:
-    """Union two trees sharing exactly their root; None when ``mergeable`` refuses."""
-    if t1.root != t2.root or not mergeable(state, t1, t2, state.seeds.bits(t1.root)):
-        return None
+def _union(t1: RootedTree, t2: RootedTree) -> RootedTree:
     covered = t1.covered | t2.covered
     return RootedTree(
         key=tuple(sorted(t1.key + t2.key)),
@@ -258,11 +260,19 @@ def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree 
     )
 
 
+def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree | None:
+    """Union two trees sharing exactly their root; None when the seed sets clash
+    outside the root or ``mergeable`` refuses."""
+    if t1.root != t2.root or t1.covered & t2.covered & ~state.seeds.bits(t1.root):
+        return None
+    return _union(t1, t2) if mergeable(state, t1, t2) else None
+
+
 # ---------------------------------------------------------------------------
 # Deduplication and bookkeeping
 
 
-def is_new(state: SearchState, t: RootedTree) -> bool:
+def is_new(state: RootedState, t: RootedTree) -> bool:
     """Decide whether a freshly built tree survives deduplication.
 
     Plain rooted search discards a tree only when the identical rooted tree
@@ -289,7 +299,7 @@ def is_new(state: SearchState, t: RootedTree) -> bool:
     return False
 
 
-def _hist_add(state: SearchState, t: RootedTree) -> None:
+def _hist_add(state: RootedState, t: RootedTree) -> None:
     if state.cfg.algorithm in EDGE_SET_PRUNED:
         if t.key:
             state.hist.add(t.key)
@@ -297,7 +307,7 @@ def _hist_add(state: SearchState, t: RootedTree) -> None:
         state.hist.add((t.key, t.root))
 
 
-def _update_signature(state: SearchState, t: RootedTree) -> None:
+def _update_signature(state: RootedState, t: RootedTree) -> None:
     # a nonempty root-ended path from a single seed marks its root as reached
     if t.path_anchor is not None and t.key:
         bits = state.seeds.bits(t.path_anchor)
@@ -321,7 +331,7 @@ def _record_result(state: SearchState, edges: tuple[int, ...], nodes: Iterable[i
         state.stats.results_found += 1
 
 
-def record_for_merging(state: SearchState, t: RootedTree) -> None:
+def record_for_merging(state: RootedState, t: RootedTree) -> None:
     """Make ``t`` available as a merge partner; inject re-rooted copies.
 
     When re-rooting is on and this step covered strictly more seed sets than
@@ -344,12 +354,12 @@ def record_for_merging(state: SearchState, t: RootedTree) -> None:
         merge_all(state, copy)
 
 
-def _enqueue_grow_pairs(state: SearchState, t: RootedTree) -> None:
+def _enqueue_grow_pairs(state: RootedState, t: RootedTree) -> None:
     for e, _, _ in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
         state.push_pair(t, e)
 
 
-def process_tree(state: SearchState, t: RootedTree) -> str:
+def process_tree(state: RootedState, t: RootedTree) -> str:
     """Deduplicate, then report or record a tree and queue its grow steps."""
     if not is_new(state, t):
         state.stats.trees_pruned += 1
@@ -365,7 +375,7 @@ def process_tree(state: SearchState, t: RootedTree) -> str:
     return RECORDED
 
 
-def merge_all(state: SearchState, t: RootedTree) -> None:
+def merge_all(state: RootedState, t: RootedTree) -> None:
     """Merge ``t`` and every merge product against the recorded trees, to fixpoint."""
     pending = [t]
     while pending:
@@ -374,12 +384,13 @@ def merge_all(state: SearchState, t: RootedTree) -> None:
         current = pending
         pending = []
         for t1 in current:
+            # partners may share seed sets with t1 only through the root
+            clash = t1.covered & ~state.seeds.bits(t1.root)
+            # a copy in record order, since the merges below record more trees here
             for t2 in list(state.by_root.get(t1.root, ())):
-                if not t2.key:
-                    continue  # merging with a single-node tree adds nothing
-                merged = try_merge(state, t1, t2)
-                if merged is None:
+                if not t2.key or t2.covered & clash or not mergeable(state, t1, t2):
                     continue
+                merged = _union(t1, t2)
                 if process_tree(state, merged) == RECORDED:
                     pending.append(merged)
 
@@ -401,20 +412,20 @@ def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
             yield s
 
 
-def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> SearchState:
+def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> RootedState:
     """Create a search state with one start tree per seed of each non-universal set.
 
     A node belonging to several seed sets gets a single start tree covering
     all of them at once.
     """
-    state = SearchState(g, seeds, cfg)
+    state = RootedState(g, seeds, cfg)
     for s in _start_nodes(g, seeds):
         state.signatures[s] = state.signatures.get(s, 0) | seeds.bits(s)
         process_tree(state, _make_init(seeds, s))
     return state
 
 
-def _drain(state: SearchState) -> None:
+def _drain(state: RootedState) -> None:
     while True:
         if state.deadline_passed():
             state.stats.timed_out = True
@@ -434,11 +445,11 @@ def _drain(state: SearchState) -> None:
 # Generation-based driver
 
 
-@dataclass(frozen=True)
-class _GenTree:
+class _GenTree(NamedTuple):
     key: tuple[int, ...]
     nodes: frozenset[int]
     covered: int
+    nbits: int  # one bit per node, numbered by when the search first reached it
 
     def identity(self) -> tuple:
         return self.key if self.key else ("node", min(self.nodes))
@@ -461,6 +472,8 @@ def _run_generations(state: SearchState) -> None:
     # merge partners bucketed by (shared node, covered mask): only partners
     # whose covered sets cannot collide outside the shared node are scanned
     by_node_cov: dict[tuple[int, int], list[_GenTree]] = {}
+    # per-search node bits stay as wide as the reached part of the graph
+    bit_of: dict[int, int] = {}
 
     def report(t: _GenTree) -> None:
         minimized = minimize(g, t.key, seeds)
@@ -491,17 +504,23 @@ def _run_generations(state: SearchState) -> None:
     def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
+            cur_nbits = cur.nbits
             for n in sorted(cur.nodes):
-                n_bits = seeds.bits(n)
-                allowed = seeds.full_mask & ~(cur.covered & ~n_bits)
+                n_bit = bit_of[n]
+                allowed = seeds.full_mask & ~(cur.covered & ~seeds.bits(n))
                 for mask in _submasks(allowed):
                     for partner in list(by_node_cov.get((n, mask), ())):
-                        if not partner.key or not mergeable(state, cur, partner, n_bits):
+                        if (
+                            not partner.key
+                            or partner.nbits & cur_nbits != n_bit  # shares more nodes than n
+                            or not mergeable(state, cur, partner)
+                        ):
                             continue
                         merged = _GenTree(
                             tuple(sorted(cur.key + partner.key)),
                             cur.nodes | partner.nodes,
                             cur.covered | partner.covered,
+                            cur.nbits | partner.nbits,
                         )
                         if keep(merged):
                             generation.append(merged)
@@ -511,7 +530,7 @@ def _run_generations(state: SearchState) -> None:
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = _GenTree((), frozenset((s,)), seeds.bits(s))
+        t = _GenTree((), frozenset((s,)), seeds.bits(s), bit_of.setdefault(s, 1 << len(bit_of)))
         if keep(t):
             current.append(t)
 
@@ -525,7 +544,10 @@ def _run_generations(state: SearchState) -> None:
                 state.stats.timed_out = True
                 return
             for e, far, far_bits in admissible_edges(state, t, sorted(t.nodes)):
-                grown = _GenTree(tuple(sorted(t.key + (e,))), t.nodes | {far}, t.covered | far_bits)
+                far_bit = bit_of.setdefault(far, 1 << len(bit_of))
+                grown = _GenTree(
+                    tuple(sorted(t.key + (e,))), t.nodes | {far}, t.covered | far_bits, t.nbits | far_bit
+                )
                 if keep(grown):
                     nxt.append(grown)
                     index(grown)

@@ -315,6 +315,17 @@ def test_oracle_check_needs_inputs(capsys):
     assert exc.value.code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_oracle_check_random_count_must_be_positive(capsys, count):
+    # a non-positive count would check no instance and still report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--random", count])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR
+    assert "--random" in captured.err and "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

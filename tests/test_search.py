@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from treeq import search
+from treeq.graph import Graph
 from treeq.lang import CtpFilters
 from treeq.search import (
     ALGORITHMS,
@@ -587,3 +589,35 @@ def test_merging_variants_stay_complete():
         for algo in ("bft_m", "bft_am", "gam"):
             found = result_identities(run_search(g, seeds, SearchConfig(algorithm=algo))[0])
             assert found == baseline, algo
+
+
+def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
+    # merge partners are chosen on per-search node bitsets: node ids of 10**12
+    # and more must neither change an outcome nor widen the bitsets
+    built = []
+    gen_tree = search._GenTree
+    monkeypatch.setattr(search, "_GenTree", lambda *fields: built.append(gen_tree(*fields)) or built[-1])
+    rng = random.Random(4242)
+    for _ in range(12):
+        small, seeds = gen_random_instance(rng, max_nodes=10, max_edges=15, n_labels=2, m=rng.choice([2, 3]))
+        big_id = {n: 10**12 + 7919 * n for n in small.nodes}  # increasing, so every order is kept
+        small_id = {b: n for n, b in big_id.items()}
+        big = Graph(
+            [replace(node, id=big_id[node.id]) for node in small.nodes.values()],
+            [replace(e, source=big_id[e.source], target=big_id[e.target]) for e in small.edges.values()],
+        )
+        big_seeds = SeedSets([{big_id[n] for n in s} for s in seeds.sets])
+        for algo in ("bft_m", "bft_am"):
+            expected, expected_stats = run_search(small, seeds, SearchConfig(algorithm=algo))
+            built.clear()
+            found, stats = run_search(big, big_seeds, SearchConfig(algorithm=algo))
+            assert stats == expected_stats
+            relabelled = [
+                (rt.edges, tuple(small_id[n] for n in rt.nodes), tuple(small_id[n] for n in rt.seed_tuple),
+                 small_id[rt.root])
+                for rt in found
+            ]
+            assert relabelled == [(rt.edges, rt.nodes, rt.seed_tuple, rt.root) for rt in expected]
+            reached = len(frozenset().union(*(t.nodes for t in built)))
+            for t in built:
+                assert t.nbits.bit_count() == len(t.nodes) and t.nbits.bit_length() <= reached
