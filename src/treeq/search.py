@@ -233,18 +233,15 @@ def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree:
 
 
 def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree) -> bool:
-    """Whether two trees that share a node, and whose covered seed sets overlap
-    at most in that node's own seed bits, may be united.
+    """Whether the union of two trees stays within the edge budget.
 
-    Both drivers test the seed sets on integer masks while choosing partners,
-    since most partners fail there (a set covered through two different nodes
-    would put two of its seeds in the union). What remains is the edge budget
-    and that the shared node is the only common one; the generation driver
-    has already checked the latter on node bitsets, before this call.
+    Each driver first keeps only partners that share the merge node alone and
+    whose covered seed sets overlap at most in that node's own seed bits. The
+    seed sets are tested first, on integer masks, since most partners fail
+    there (a set covered through two different nodes would put two of its
+    seeds in the union).
     """
-    if state.max_edges is not None and len(t1.key) + len(t2.key) > state.max_edges:
-        return False
-    return len(t1.nodes & t2.nodes) == 1
+    return state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges
 
 
 def _union(t1: RootedTree, t2: RootedTree) -> RootedTree:
@@ -260,12 +257,20 @@ def _union(t1: RootedTree, t2: RootedTree) -> RootedTree:
     )
 
 
-def try_merge(state: SearchState, t1: RootedTree, t2: RootedTree) -> RootedTree | None:
-    """Union two trees sharing exactly their root; None when the seed sets clash
-    outside the root or ``mergeable`` refuses."""
-    if t1.root != t2.root or t1.covered & t2.covered & ~state.seeds.bits(t1.root):
-        return None
-    return _union(t1, t2) if mergeable(state, t1, t2) else None
+def merge_partners(state: RootedState, t1: RootedTree) -> list[RootedTree]:
+    """The trees recorded at ``t1``'s root that ``t1`` may merge with, in record order.
+
+    A partner must have an edge, may share seed sets with ``t1`` only through
+    the root, must share no node but the root, and must pass ``mergeable``.
+    The list is a snapshot: merging records more trees at the root.
+    """
+    root, nodes = t1.root, t1.nodes
+    clash = t1.covered & ~state.seeds.bits(root)
+    return [
+        t2
+        for t2 in state.by_root.get(root, ())
+        if t2.key and not t2.covered & clash and len(nodes & t2.nodes) == 1 and mergeable(state, t1, t2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +389,7 @@ def merge_all(state: RootedState, t: RootedTree) -> None:
         current = pending
         pending = []
         for t1 in current:
-            # partners may share seed sets with t1 only through the root
-            clash = t1.covered & ~state.seeds.bits(t1.root)
-            # a copy in record order, since the merges below record more trees here
-            for t2 in list(state.by_root.get(t1.root, ())):
-                if not t2.key or t2.covered & clash or not mergeable(state, t1, t2):
-                    continue
+            for t2 in merge_partners(state, t1):
                 merged = _union(t1, t2)
                 if process_tree(state, merged) == RECORDED:
                     pending.append(merged)

@@ -21,13 +21,14 @@ from treeq.search import (
     apply_score_topk,
     guaranteed_found,
     init_search,
+    _union,
     is_new,
     merge_all,
+    merge_partners,
     process_tree,
     record_for_merging,
     run_search,
     try_grow,
-    try_merge,
 )
 from treeq.synth import gen_chain, gen_random_instance
 from treeq.trees import GROW, INIT, MERGE, REROOT, RootedTree, SeedSetError, SeedSets, classify_result, minimize
@@ -46,6 +47,14 @@ def _root_edges(state, t):
 
 def _pending_pairs(state):
     return sum(len(q) for q in state.queues.values())
+
+
+def _merge(state, t1, t2):
+    """Merge ``t1`` with ``t2`` as the only tree recorded anywhere; None when refused."""
+    state.by_root = {t2.root: [t2]}
+    partners = merge_partners(state, t1)
+    assert partners in ([], [t2])
+    return _union(t1, t2) if partners else None
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ def test_merge_at_shared_root(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     left = _tree((4,), 5, {4, 5}, 0b010)   # B-3 rooted "3"
     right = _tree((5,), 5, {5, 6}, 0b100)  # C-3 rooted "3"
-    merged = try_merge(state, left, right)
+    merged = _merge(state, left, right)
     assert merged is not None
     assert merged.key == (4, 5) and merged.root == 5
     assert merged.covered == 0b110 and merged.kind == MERGE
@@ -161,7 +170,7 @@ def test_merge_at_shared_root(path_abc):
 def test_merge_rejects_different_roots(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert try_merge(state, _tree((4,), 5, {4, 5}, 0b010), _tree((5,), 6, {5, 6}, 0b100)) is None
+    assert _merge(state, _tree((4,), 5, {4, 5}, 0b010), _tree((5,), 6, {5, 6}, 0b100)) is None
 
 
 def test_merge_rejects_two_seeds_from_one_set(path_abc):
@@ -170,7 +179,7 @@ def test_merge_rejects_two_seeds_from_one_set(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)          # holds seed A
     t2 = _tree((3, 4, 5), 3, {3, 4, 5, 6}, 0b011)    # holds B and the other set-1 seed C
-    assert try_merge(state, t1, t2) is None
+    assert _merge(state, t1, t2) is None
 
 
 def test_merge_allows_overlap_through_shared_seed_root(path_abc):
@@ -178,7 +187,7 @@ def test_merge_allows_overlap_through_shared_seed_root(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t1 = _tree((1, 2, 3), 4, {1, 2, 3, 4}, 0b011)  # A-1-2-B rooted B
     t2 = _tree((4, 5), 4, {4, 5, 6}, 0b110)        # B-3-C rooted B
-    merged = try_merge(state, t1, t2)
+    merged = _merge(state, t1, t2)
     assert merged is not None
     assert merged.covered == 0b111  # one B seed, shared through the root
 
@@ -188,7 +197,26 @@ def test_merge_rejects_extra_shared_nodes(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)
     t2 = _tree((2, 3), 3, {2, 3, 4}, 0b010)  # shares node 2 besides root 3
-    assert try_merge(state, t1, t2) is None
+    assert _merge(state, t1, t2) is None
+
+
+def test_merge_partners_filter_recorded_trees_in_record_order():
+    # star around node 1; A = {2}, B = {3, 4}; edge i joins leaf i + 1 to node 1
+    g = make_graph(["x", "A", "B", "B", "1", "2"], [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1)])
+    seeds = SeedSets([(2,), (3, 4)])
+    t1 = _tree((2, 4), 1, {1, 3, 5}, 0b10, kind=MERGE)  # B via 3, plus leaf 5
+    d = _tree((1,), 1, {1, 2}, 0b01)         # A: merges
+    b = _tree((3,), 1, {1, 4}, 0b10)         # B via another seed: clash
+    c = _tree((4,), 1, {1, 5}, 0)            # shares leaf 5 besides the root
+    a = _tree((5,), 1, {1, 6}, 0)            # merges
+    e = _tree((1, 5), 1, {1, 2, 6}, 0b01)    # merges within budget 4, not 3
+    recorded = [_tree((), 1, {1}, 0, kind=INIT), d, b, c, a, e]
+    for max_edges, expected in ((None, [d, a, e]), (4, [d, a, e]), (3, [d, a])):
+        cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=max_edges))
+        state = init_search(g, seeds, cfg)
+        state.by_root = {1: list(recorded)}
+        assert merge_partners(state, t1) == expected, max_edges
+        assert state.by_root[1] == recorded
 
 
 def test_merge_covered_algebra(path_abc):
@@ -196,7 +224,7 @@ def test_merge_covered_algebra(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)
     t2 = _tree((3,), 3, {3, 4}, 0b010)
-    merged = try_merge(state, t1, t2)
+    merged = _merge(state, t1, t2)
     assert merged.covered == t1.covered | t2.covered
     assert (t1.covered & t2.covered) & ~state.seeds.bits(3) == 0
 
@@ -262,7 +290,7 @@ def test_reroot_copies_created_at_new_seeds(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
     left = state.by_root[4][0], 4
-    merged = try_merge(state, _tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
+    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
     assert process_tree(state, merged) == RECORDED
     assert any(t.kind == REROOT and t.key == (4, 5) for t in state.by_root[4])
     assert any(t.kind == REROOT and t.key == (4, 5) for t in state.by_root[6])
@@ -280,7 +308,7 @@ def test_no_reroot_without_seed_gain(path_abc):
 def test_no_reroot_under_plain_esp(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="esp"))
-    merged = try_merge(state, _tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
+    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
     process_tree(state, merged)
     assert all(t.kind != REROOT for trees in state.by_root.values() for t in trees)
 
