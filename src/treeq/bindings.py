@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .graph import Graph
-from .lang import Bgp, EdgePattern, satisfies
+from .lang import Bgp, EdgePattern, Predicate, satisfies
 
 
 class JoinKindError(ValueError):
@@ -52,16 +52,7 @@ UNIT_TABLE = BindingTable((), (), frozenset({()}))
 
 def match_edge_pattern(g: Graph, pattern: EdgePattern) -> BindingTable:
     """All directed edge embeddings of one pattern, one row per matching edge."""
-    columns = (pattern.source.var, pattern.edge.var, pattern.target.var)
-    rows = set()
-    for eid, e in g.edges.items():
-        if (
-            satisfies(pattern.edge, g, eid, "edge")
-            and satisfies(pattern.source, g, e.source, "node")
-            and satisfies(pattern.target, g, e.target, "node")
-        ):
-            rows.add((e.source, eid, e.target))
-    return BindingTable(columns, ("node", "edge", "node"), frozenset(rows))
+    return evaluate_bgp(g, Bgp((pattern,)))
 
 
 def _key(idx: Sequence[int]) -> Callable[[tuple], Any]:
@@ -150,12 +141,108 @@ def join_all(tables: Sequence[BindingTable], keep: Iterable[str]) -> BindingTabl
         joined = natural_join(joined, remaining.pop(i))
 
 
-def evaluate_bgp(g: Graph, bgp: Bgp, synthetic: frozenset[str] = frozenset()) -> BindingTable:
-    """Join all per-pattern match tables (see ``join_all``).
+_KINDS = ("node", "edge", "node")  # of an edge pattern's source, edge and target
 
-    Synthetic shorthand variables are projected away so only user variables
-    surface in the result; columns follow the variables' first occurrence.
+
+def candidates(g: Graph, pred: Predicate, kind: str) -> Collection[int] | None:
+    """The smallest id set an index gives for ``pred``, or ``None`` when none applies.
+
+    An ``id =`` condition admits at most one element (none when the id is not
+    in the graph); on an edge, a ``label =`` condition admits the edges of its
+    label-index entry. Other conditions are not indexed: ``satisfies`` stays
+    the final test on every candidate.
     """
-    tables = [match_edge_pattern(g, p) for p in bgp.patterns]
-    visible = dict.fromkeys(c for t in tables for c in t.columns if c not in synthetic)
-    return join_all(tables, visible)
+    best = None
+    for c in pred.conditions:
+        if c.op != "=":
+            continue
+        if c.prop == "id" and isinstance(c.value, int):
+            found = (c.value,) if c.value in (g.nodes if kind == "node" else g.edges) else ()
+        elif c.prop == "label" and kind == "edge" and isinstance(c.value, str):
+            found = g.edges_with_label(c.value)
+        else:
+            continue
+        if best is None or len(found) < len(best):
+            best = found
+    return best
+
+
+def _anchor(g: Graph, pattern: EdgePattern) -> tuple[int, Collection[int]]:
+    """(candidate count, edge ids to probe) of the pattern's cheapest index.
+
+    A constant ``id`` admits at most one candidate, a label-index entry its
+    size; with neither the pattern scans every edge. A node candidate is
+    probed through its incoming edges (target) or adjacent edges (source).
+    """
+    src, edge, tgt = pattern.predicates
+    options = [(len(g.edges), g.edges)]
+    for pred, probe in ((edge, None), (tgt, g.incoming_edges), (src, g.adjacent_edges)):
+        found = candidates(g, pred, "edge" if probe is None else "node")
+        if found is not None:
+            options.append((len(found), found if probe is None else [eid for n in found for eid in probe(n)]))
+    return min(options, key=itemgetter(0))
+
+
+def _extend(
+    g: Graph, pattern: EdgePattern, row: tuple, slot: dict[str, int], anchor: Collection[int]
+) -> Iterator[tuple]:
+    """The cells of the variables ``pattern`` adds to ``row``, one tuple per matching edge.
+
+    Probes the bound edge, else the smallest of ``anchor``, the incoming edges
+    of a bound target and the adjacent edges of a bound source; each probed
+    edge must then agree with every bound variable and satisfy every predicate.
+    """
+    src, edge, tgt = pattern.predicates
+    if edge.var in slot:
+        probe = (row[slot[edge.var]],)
+    else:
+        probe = anchor
+        if tgt.var in slot:
+            probe = min(probe, g.incoming_edges(row[slot[tgt.var]]), key=len)
+        if src.var in slot:
+            probe = min(probe, g.adjacent_edges(row[slot[src.var]]), key=len)
+    for eid in probe:
+        e = g.edges[eid]
+        new: dict[str, int] = {}
+        for pred, kind, value in zip(pattern.predicates, _KINDS, (e.source, eid, e.target)):
+            i = slot.get(pred.var)
+            if (row[i] if i is not None else new.get(pred.var, value)) != value:
+                break
+            if pred.conditions and not satisfies(pred, g, value, kind):
+                break
+            if i is None:
+                new[pred.var] = value
+        else:
+            yield tuple(new.values())
+
+
+def evaluate_bgp(g: Graph, bgp: Bgp, synthetic: frozenset[str] = frozenset()) -> BindingTable:
+    """All embeddings of a pattern group, by index nested loops.
+
+    The first pattern is the one whose index admits the fewest candidates
+    (see ``_anchor``): a constant ``id``, then the smallest label-index
+    entry, then a full scan. Each later pattern is the cheapest one that
+    shares a variable with the patterns matched so far, matched by probing
+    from every partial row (see ``_extend``), so no pattern is scanned on its
+    own and joined afterwards. Synthetic shorthand variables are hidden;
+    columns follow the variables' first occurrence.
+    """
+    kinds: dict[str, str] = {}
+    for pattern in bgp.patterns:
+        for pred, kind in zip(pattern.predicates, _KINDS):
+            if kinds.setdefault(pred.var, kind) != kind:
+                raise JoinKindError(
+                    f"variable {pred.var!r} binds {kinds[pred.var]}s in one pattern and {kind}s in another"
+                )
+    pending = {i: (_anchor(g, p), p) for i, p in enumerate(bgp.patterns)}
+    slot: dict[str, int] = {}
+    rows: list[tuple] = [()]
+    while pending:
+        connected = [i for i, (_, p) in pending.items() if any(q.var in slot for q in p.predicates)]
+        (_, anchor), pattern = pending.pop(min(connected or pending, key=lambda i: pending[i][0][0]))
+        rows = [row + cells for row in rows for cells in _extend(g, pattern, row, slot, anchor)]
+        for pred in pattern.predicates:
+            slot.setdefault(pred.var, len(slot))
+    columns = tuple(v for v in kinds if v not in synthetic)
+    cells = _cells([slot[v] for v in columns])
+    return BindingTable(columns, tuple(kinds[v] for v in columns), frozenset(map(cells, rows)))

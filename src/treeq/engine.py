@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from .bindings import BindingTable, evaluate_bgp, join_all
+from .bindings import BindingTable, candidates, evaluate_bgp, join_all
 from .graph import Graph
 from .lang import Ctp, Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
 from .search import SearchConfig, run_search
@@ -33,9 +33,10 @@ def compute_seed_sets(
     An unbound member contributes the nodes satisfying every condition placed
     on its variable anywhere in the query (an embedding must satisfy them
     all, so a variable shared between tree patterns is constrained by each
-    occurrence); with no conditions at all it is universal. ``None`` marks a
-    tree pattern with an empty non-universal seed set, which empties the
-    whole query result.
+    occurrence), drawn from its ``id =`` candidate when it has one (see
+    ``bindings.candidates``); with no conditions at all it is universal.
+    ``None`` marks a tree pattern with an empty non-universal seed set,
+    which empties the whole query result.
     """
     ast = query.ast
     conditions_on: dict[str, list] = {}
@@ -67,7 +68,10 @@ def compute_seed_sets(
             else:
                 combined = Predicate(member.var, tuple(conditions_on[member.var]))
                 if combined.conditions:
-                    nodes = frozenset(n for n in g.nodes if satisfies(combined, g, n, "node"))
+                    pool = candidates(g, combined, "node")
+                    nodes = frozenset(
+                        n for n in (g.nodes if pool is None else pool) if satisfies(combined, g, n, "node")
+                    )
                     sets.append(nodes)
                     universal.append(False)
                     empty = empty or not nodes

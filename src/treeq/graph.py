@@ -38,6 +38,7 @@ class Graph:
         self.edges: dict[int, Edge] = {}
         out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        self._by_label: dict[str, list[int]] = {}
         for n in nodes:
             if n.id in self.nodes:
                 raise GraphLoadError(f"duplicate node id {n.id}")
@@ -57,6 +58,7 @@ class Graph:
             self.edges[e.id] = e
             out[e.source].append(e.id)
             self._in[e.target].append(e.id)
+            self._by_label.setdefault(e.label, []).append(e.id)
         for nid in self.nodes:
             self._in[nid].sort()
         self._degree = {nid: len(out[nid]) + len(self._in[nid]) for nid in self.nodes}
@@ -88,6 +90,10 @@ class Graph:
         if nid not in self.nodes:
             raise KeyError(f"unknown node id {nid}")
         return self._in[nid]
+
+    def edges_with_label(self, label: str) -> list[int]:
+        """Edge ids carrying ``label``, in insertion order; empty for an unused label."""
+        return self._by_label.get(label, [])
 
     def other_endpoint(self, eid: int, nid: int) -> int:
         """The endpoint of edge ``eid`` opposite to ``nid`` (``nid`` for self-loops)."""

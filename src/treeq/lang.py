@@ -520,6 +520,8 @@ def validate_query(ast: QueryAst) -> ValidatedQuery:
                 raise QueryValidationError(f"{where}: source, edge and target variables must be distinct")
             for pred in pat.predicates:
                 _check_condition_types(pred, where)
+            if any(c.prop == "type" for c in pat.edge.conditions):
+                raise QueryValidationError(f"{where}: type is defined on nodes, not on the edge ?{pat.edge.var}")
         if len(bgp.patterns) > 1 and len(_connected_components(list(bgp.patterns))) > 1:
             raise QueryValidationError(f"group {bi} is not connected")
         all_patterns.extend(bgp.patterns)

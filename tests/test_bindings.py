@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from treeq.bindings import (
 )
 from treeq.engine import evaluate_query
 from treeq.graph import Edge, Graph, Node
-from treeq.lang import parse_query, validate_query
+from treeq.lang import QueryValidationError, parse_query, satisfies, validate_query
 from treeq.synth import gen_cdf, gen_random_instance
 from treeq.trees import ResultTree
 
@@ -274,6 +275,22 @@ def test_query_join_forms_no_needless_cartesian_product(monkeypatch, seed):
     assert all(out <= max(na, nb) for na, nb, out in calls), calls
 
 
+def _spy_on_probes(monkeypatch):
+    """Partial rows into and out of each pattern step of ``evaluate_bgp``, in step order."""
+    steps = {}
+    real = bindings._extend
+
+    def spy(g, pattern, *rest):
+        step = steps.setdefault(pattern, [0, 0])
+        step[0] += 1
+        for cells in real(g, pattern, *rest):
+            step[1] += 1
+            yield cells
+
+    monkeypatch.setattr(bindings, "_extend", spy)
+    return steps
+
+
 def test_pattern_group_joins_along_shared_variables(monkeypatch):
     # p and r are rarer than q, but share no variable with each other
     nodes = [Node(i) for i in range(1, 41)]
@@ -283,9 +300,101 @@ def test_pattern_group_joins_along_shared_variables(monkeypatch):
     g = Graph(nodes, edges)
     text = '(?a, ?d) :- (?a, "p", ?b), (?b, "q", ?c), (?c, "r", ?d)'
     vq = validate_query(parse_query(text))
-    calls = _spy_on_joins(monkeypatch)
-    table = evaluate_bgp(g, vq.ast.bgps[0], vq.ast.synthetic)
+    bgp = vq.ast.bgps[0]
+    sizes = {p: len(match_edge_pattern(g, p)) for p in bgp.patterns}
+    steps = _spy_on_probes(monkeypatch)
+    table = evaluate_bgp(g, bgp, vq.ast.synthetic)
     assert table.columns == ("a", "b", "c", "d")
     assert table.rows == frozenset({(3, 13, 23, 33), (4, 14, 24, 34)})
-    assert len(calls) == 2
-    assert all(out <= max(na, nb) for na, nb, out in calls), calls
+    # no step makes more partial rows than its larger input: p x r would make 16
+    assert list(steps) == list(bgp.patterns)
+    assert all(rows_out <= max(rows_in, sizes[p]) for p, (rows_in, rows_out) in steps.items()), steps
+
+
+def _scan_match(g, pattern):
+    """Scan evaluation of one pattern: every edge of the graph is tested."""
+    columns = (pattern.source.var, pattern.edge.var, pattern.target.var)
+    rows = set()
+    for eid, e in g.edges.items():
+        if (
+            satisfies(pattern.edge, g, eid, "edge")
+            and satisfies(pattern.source, g, e.source, "node")
+            and satisfies(pattern.target, g, e.target, "node")
+        ):
+            rows.add((e.source, eid, e.target))
+    return BindingTable(columns, ("node", "edge", "node"), frozenset(rows))
+
+
+def _scan_and_join(g, bgp, synthetic):
+    """Reference group evaluation: scan every pattern, then join the tables."""
+    tables = [_scan_match(g, p) for p in bgp.patterns]
+    visible = dict.fromkeys(c for t in tables for c in t.columns if c not in synthetic)
+    return join_all(tables, visible)
+
+
+def _outcome(evaluate, *args):
+    try:
+        t = evaluate(*args)
+    except JoinKindError:
+        return JoinKindError
+    return t.columns, t.kinds, t.rows
+
+
+def _random_term(rng, position, ids):
+    if rng.random() < 0.15:
+        return f'"{rng.choice(["a", "b"] if position == "edge" else ["A", "B"])}"'
+    kind = position if rng.random() > 0.05 else "other"  # a variable of the other kind
+    var = rng.choice({"edge": ["e", "f", "g"], "node": ["x", "y", "z", "u"], "other": ["e", "x"]}[kind])
+    conds = []
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        prop = rng.choice(["id", "label"] + (["type"] if position == "node" else []))
+        if prop == "id":
+            conds.append(f"id {rng.choice(['=', '=', '<', '<='])} {rng.choice(ids)}")
+        elif prop == "type":
+            conds.append(f'type = "{rng.choice(["t1", "t2"])}"')
+        else:
+            labels = ["a", "b", "*"] if position == "edge" else ["A", "B", "*"]
+            conds.append(f'label {rng.choice(["=", "=", "~", "<="])} "{rng.choice(labels)}"')
+    return f"?{var}[{'; '.join(conds)}]" if conds else f"?{var}"
+
+
+def test_index_nested_loops_equal_scan_and_join_on_random_graphs():
+    # graphs with self-loops and parallel edges; groups with indexed and
+    # unindexed conditions, constants, shared edge variables and kind conflicts
+    rng = random.Random(20260907)
+    checked = joined = conflicts = 0
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        nodes = [
+            Node(i, rng.choice("AB"), "uri", frozenset(rng.sample(["t1", "t2"], rng.randint(0, 2))))
+            for i in range(1, n + 1)
+        ]
+        edges = []
+        for k in range(1, rng.randint(0, 14) + 1):
+            if edges and rng.random() < 0.2:
+                e = rng.choice(edges)
+                edges.append(Edge(k, e.source, e.target, e.label))
+            else:
+                edges.append(Edge(k, rng.randint(1, n), rng.randint(1, n), rng.choice("ab")))
+        g = Graph(nodes, edges)
+        ids = list(range(1, max(n, len(edges)) + 1)) + [99]
+        for _ in range(8):
+            patterns = [
+                "(" + ", ".join(_random_term(rng, pos, ids) for pos in ("node", "edge", "node")) + ")"
+                for _ in range(rng.randint(1, 4))
+            ]
+            body = ", ".join(patterns)
+            head = re.search(r"\?\w+", body)
+            try:
+                vq = validate_query(parse_query(f"({head.group() if head else '?none'}) :- {body}"))
+            except QueryValidationError:
+                continue  # a pattern repeats a variable, or the body has no variable
+            for bgp in vq.ast.bgps:
+                for p in bgp.patterns:
+                    assert _outcome(match_edge_pattern, g, p) == _outcome(_scan_match, g, p)
+                expected = _outcome(_scan_and_join, g, bgp, vq.ast.synthetic)
+                assert _outcome(evaluate_bgp, g, bgp, vq.ast.synthetic) == expected, patterns
+                checked += 1
+                conflicts += expected is JoinKindError
+                joined += len(bgp.patterns) > 1 and expected is not JoinKindError and bool(expected[2])
+    assert checked > 300 and joined > 40 and conflicts > 5, (checked, joined, conflicts)

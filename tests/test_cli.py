@@ -47,6 +47,20 @@ def test_run_q1_json(tmp_path, fig1_files, capsys):
     assert match[0][3]["nodes"] == [4, 6, 7, 9]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(?r, ?l) :- (?r, ?p, ?c), (?c, "citizenOf", ?tl[id = 1000000000]), (?tl, ?bl[id = 3], TREE ?l)',
+        "(?l) :- (?tl[id = 1000000000], ?bl[id = 3], TREE ?l)",
+    ],
+)
+def test_run_with_an_absent_id_returns_no_rows(tmp_path, fig1_files, capsys, text):
+    code, captured = _run_query(tmp_path, fig1_files, capsys, text)
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["rows"] == []
+    assert captured.err == ""
+
+
 def test_run_uni_query_serializes_root(tmp_path, fig1_files, capsys):
     text = '(?w) :- (?a[label = "Elon"], ?b[label = "Doug"], TREE ?w) UNI'
     code, captured = _run_query(tmp_path, fig1_files, capsys, text)
@@ -323,6 +337,19 @@ def test_oracle_check_random_count_must_be_positive(capsys, count):
     captured = capsys.readouterr()
     assert exc.value.code == EXIT_ERROR
     assert "--random" in captured.err and "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--m", "--max-nodes", "--max-edges"])
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_oracle_check_instance_sizes_must_be_positive(capsys, flag, value):
+    # a negative --m failed inside the sampler without naming the flag; a
+    # negative --max-edges built edgeless instances and reported a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--random", "2", flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR
+    assert flag in captured.err and "must be a positive integer" in captured.err
     assert captured.out == ""
 
 

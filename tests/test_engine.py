@@ -9,7 +9,7 @@ import pytest
 
 from treeq.bindings import evaluate_bgp
 from treeq.engine import EngineError, compute_seed_sets, evaluate_query, plan_query
-from treeq.lang import CtpFilters, QueryAst, parse_query, validate_query
+from treeq.lang import CtpFilters, Predicate, QueryAst, parse_query, satisfies, validate_query
 from treeq.search import run_search
 from treeq.synth import gen_cdf, gen_random_instance
 from treeq.trees import ResultTree
@@ -55,6 +55,64 @@ def test_member_bound_to_edge_is_an_error(fig1):
     vq, tables = _prepare(fig1, '(?w) :- (?x, ?e, "USA"), (?e, TREE ?w)')
     with pytest.raises(EngineError, match="bound to edges"):
         compute_seed_sets(fig1, vq, tables)
+
+
+def _scan_seed_sets(g, vq, tables):
+    """Reference seed sets: every unbound member with conditions scans all nodes."""
+    conditions_on = {}
+    for ctp in vq.ast.ctps:
+        for m in ctp.members:
+            conditions_on.setdefault(m.var, []).extend(m.conditions)
+    out = []
+    for ctp in vq.ast.ctps:
+        sets, universal = [], []
+        for m in ctp.members:
+            table = next((t for t in tables if m.var in t.columns), None)
+            if table is not None:
+                i = table.columns.index(m.var)
+                sets.append(frozenset(r[i] for r in table.rows if satisfies(m, g, r[i], "node")))
+            elif conditions_on[m.var]:
+                combined = Predicate(m.var, tuple(conditions_on[m.var]))
+                sets.append(frozenset(n for n in g.nodes if satisfies(combined, g, n, "node")))
+            else:
+                sets.append(frozenset())
+            universal.append(table is None and not conditions_on[m.var])
+        empty = any(not s and not u for s, u in zip(sets, universal))
+        out.append(None if empty else (tuple(sets), tuple(universal)))
+    return out
+
+
+def test_seed_sets_from_candidates_equal_a_full_scan():
+    rng = random.Random(4242)
+    absent = 10**9
+    seen = set()
+    for _ in range(40):
+        g, _ = gen_random_instance(rng, max_nodes=9, max_edges=12, n_labels=2, m=2, max_set_size=1)
+        ids = sorted(g.nodes)
+
+        def member(var):
+            k, k2 = rng.sample(ids, 2)
+            case = rng.choice(["present", "absent", "conflicting", "failing label", "label", "bare"])
+            seen.add(case)
+            return {
+                "present": f"?{var}[id = {k}]",
+                "absent": f"?{var}[id = {absent}]",
+                "conflicting": f"?{var}[id = {k}; id = {k2}]",
+                "failing label": f'?{var}[id = {k}; label = "no such label"]',
+                "label": f'?{var}[label = "{k}"; id <= {k2}]',
+                "bare": f"?{var}",
+            }[case]
+
+        bgp = '(?a, "a", ?c), ' if rng.random() < 0.5 else ""
+        text = f"(?w, ?u) :- {bgp}({member('a')}, {member('b')}, TREE ?w), ({member('b')}, TREE ?u)"
+        vq = validate_query(parse_query(text))
+        tables = [evaluate_bgp(g, b, vq.ast.synthetic) for b in vq.ast.bgps]
+        expected = _scan_seed_sets(g, vq, tables)
+        got = compute_seed_sets(g, vq, tables)
+        assert [s and (s.sets, s.universal) for s in got] == expected, text
+        plan = plan_query(g, vq)
+        assert plan.empty == (any(len(t) == 0 for t in tables) or None in expected), text
+    assert seen == {"present", "absent", "conflicting", "failing label", "label", "bare"}
 
 
 def test_q1_end_to_end(fig1):

@@ -138,3 +138,25 @@ def test_degree_matches_recomputed_adjacency_on_random_graphs():
             assert len(g.incoming_edges(nid)) == in_count
             for eid in g.incoming_edges(nid):
                 assert g.edges[eid].target == nid
+
+
+def test_label_index_matches_a_recount_on_random_graphs():
+    rng = random.Random(11)
+    loops = parallel = 0
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        nodes = [Node(i + 1, str(i + 1)) for i in range(n)]
+        edges = []
+        for k in range(rng.randint(0, 15)):
+            if edges and rng.random() < 0.2:  # a parallel copy of an earlier edge
+                e = rng.choice(edges)
+                edges.append(Edge(k + 1, e.source, e.target, rng.choice([e.label, "z"])))
+            else:
+                edges.append(Edge(k + 1, rng.randint(1, n), rng.randint(1, n), rng.choice("xyz")))
+        g = Graph(nodes, edges)
+        loops += sum(e.source == e.target for e in edges)
+        parallel += len(edges) - len({(e.source, e.target, e.label) for e in edges})
+        for label in ("x", "y", "z", "", "absent"):
+            recount = sorted(e.id for e in edges if e.label == label)
+            assert sorted(g.edges_with_label(label)) == recount
+    assert loops and parallel

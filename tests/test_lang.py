@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeq.engine import evaluate_query
+from treeq.graph import Graph
 from treeq.lang import (
     Bgp,
     Condition,
@@ -201,6 +203,15 @@ def test_top_requires_score():
 def test_pattern_matching_only_on_label():
     with pytest.raises(QueryValidationError, match="pattern matching"):
         validate_query(parse_query('(?x) :- (?x[type ~ "e*"], ?e, ?y)'))
+
+
+@pytest.mark.parametrize("edgeless", [False, True])
+def test_type_on_the_edge_position_is_rejected(fig1, edgeless):
+    # rejected before any edge is probed, so the outcome does not depend on the graph
+    g = Graph(fig1.nodes.values(), ()) if edgeless else fig1
+    text = '(?x) :- (?x, "citizenOf", "USA"), (?x, ?e[type = "t"], ?z)'
+    with pytest.raises(QueryValidationError, match=r"^pattern 1\.0: type is defined on nodes"):
+        evaluate_query(g, parse_query(text))
 
 
 def test_validation_yields_exactly_one_primary_error():
