@@ -6,7 +6,7 @@ seed sets, found by a family of best-first search algorithms with edge-set
 pruning.
 """
 
-from .bindings import BindingTable, evaluate_bgp, join_all, match_edge_pattern, natural_join, project
+from .bindings import BindingTable, evaluate_bgp, join_all, natural_join, project
 from .engine import QueryPlan, QueryResult, evaluate_query, plan_query
 from .graph import Edge, Graph, GraphLoadError, Node, load_graph, load_graph_files
 from .lang import (
@@ -78,7 +78,6 @@ __all__ = [
     "load_graph",
     "load_graph_files",
     "load_workload",
-    "match_edge_pattern",
     "minimize",
     "natural_join",
     "parse_query",

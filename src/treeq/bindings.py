@@ -50,11 +50,6 @@ def row_sort_key(row: tuple) -> tuple:
 UNIT_TABLE = BindingTable((), (), frozenset({()}))
 
 
-def match_edge_pattern(g: Graph, pattern: EdgePattern) -> BindingTable:
-    """All directed edge embeddings of one pattern, one row per matching edge."""
-    return evaluate_bgp(g, Bgp((pattern,)))
-
-
 def _key(idx: Sequence[int]) -> Callable[[tuple], Any]:
     """Row -> join key: the cell at ``idx`` if it holds one index, else the tuple of cells."""
     return itemgetter(*idx) if idx else lambda row: ()

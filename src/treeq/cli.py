@@ -131,13 +131,14 @@ def _workload_searches(w: Workload, timeout_ms: int | None):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    w = load_workload(args.workload)
-    workload_id = Path(args.workload).name
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError(f"--algos names no algorithm: {args.algos!r}")
     for a in algos:
         if a not in ALGORITHMS:
-            print(f"unknown algorithm {a!r}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"--algos: unknown algorithm {a!r}")
+    w = load_workload(args.workload)
+    workload_id = Path(args.workload).name
     searches, m = _workload_searches(w, _default_timeout_ms(args.timeout_ms))
 
     records = []

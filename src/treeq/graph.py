@@ -36,8 +36,9 @@ class Graph:
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
         self.nodes: dict[int, Node] = {}
         self.edges: dict[int, Edge] = {}
-        out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        self._both: dict[int, list[int]] = {}
+        self._degree: dict[int, int] = {}
         self._by_label: dict[str, list[int]] = {}
         for n in nodes:
             if n.id in self.nodes:
@@ -45,8 +46,9 @@ class Graph:
             if n.kind not in ("uri", "literal"):
                 raise GraphLoadError(f"node {n.id}: unknown kind {n.kind!r}")
             self.nodes[n.id] = n
-            out[n.id] = []
             self._in[n.id] = []
+            self._both[n.id] = []
+            self._degree[n.id] = 0
         for e in edges:
             if e.id in self.edges:
                 raise GraphLoadError(f"duplicate edge id {e.id}")
@@ -56,15 +58,17 @@ class Graph:
             if self.nodes[e.source].kind == "literal":
                 raise GraphLoadError(f"edge {e.id} leaves literal node {e.source}")
             self.edges[e.id] = e
-            out[e.source].append(e.id)
             self._in[e.target].append(e.id)
+            self._both[e.source].append(e.id)
+            if e.target != e.source:
+                self._both[e.target].append(e.id)
+            # a self-loop counts twice, once per direction
+            self._degree[e.source] += 1
+            self._degree[e.target] += 1
             self._by_label.setdefault(e.label, []).append(e.id)
         for nid in self.nodes:
             self._in[nid].sort()
-        self._degree = {nid: len(out[nid]) + len(self._in[nid]) for nid in self.nodes}
-        self._both: dict[int, list[int]] = {
-            nid: sorted(set(out[nid]) | set(self._in[nid])) for nid in self.nodes
-        }
+            self._both[nid].sort()
 
     @property
     def num_nodes(self) -> int:
@@ -76,19 +80,13 @@ class Graph:
 
     def degree(self, nid: int) -> int:
         """Number of adjacent edges, counting both directions."""
-        if nid not in self.nodes:
-            raise KeyError(f"unknown node id {nid}")
         return self._degree[nid]
 
     def adjacent_edges(self, nid: int) -> list[int]:
         """Edge ids adjacent to ``nid`` in either direction, ascending."""
-        if nid not in self.nodes:
-            raise KeyError(f"unknown node id {nid}")
         return self._both[nid]
 
     def incoming_edges(self, nid: int) -> list[int]:
-        if nid not in self.nodes:
-            raise KeyError(f"unknown node id {nid}")
         return self._in[nid]
 
     def edges_with_label(self, label: str) -> list[int]:
@@ -101,30 +99,27 @@ class Graph:
         return e.target if e.source == nid else e.source
 
 
-def _parse_node_row(line: str, lineno: int) -> Node:
+def _parse_node_row(line: str) -> Node:
     parts = line.split("\t")
     if len(parts) != 4:
-        raise GraphLoadError(f"nodes.tsv line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        raise GraphLoadError(f"expected 4 tab-separated fields, got {len(parts)}")
     raw_id, label, kind, raw_types = parts
     try:
         nid = int(raw_id)
     except ValueError:
-        raise GraphLoadError(f"nodes.tsv line {lineno}: bad node id {raw_id!r}") from None
-    if kind not in ("uri", "literal"):
-        raise GraphLoadError(f"nodes.tsv line {lineno}: kind must be uri or literal, got {kind!r}")
-    types = frozenset(t for t in raw_types.split(",") if t)
-    return Node(nid, label, kind, types)
+        raise GraphLoadError(f"bad node id {raw_id!r}") from None
+    return Node(nid, label, kind, frozenset(t for t in raw_types.split(",") if t))
 
 
-def _parse_edge_row(line: str, lineno: int) -> Edge:
+def _parse_edge_row(line: str) -> Edge:
     parts = line.split("\t")
     if len(parts) != 4:
-        raise GraphLoadError(f"edges.tsv line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        raise GraphLoadError(f"expected 4 tab-separated fields, got {len(parts)}")
     raw_id, raw_src, label, raw_tgt = parts
     try:
         eid, src, tgt = int(raw_id), int(raw_src), int(raw_tgt)
     except ValueError:
-        raise GraphLoadError(f"edges.tsv line {lineno}: bad integer field") from None
+        raise GraphLoadError("bad integer field") from None
     return Edge(eid, src, tgt, label)
 
 
@@ -133,42 +128,29 @@ def load_graph(node_rows: Iterable[str], edge_rows: Iterable[str]) -> Graph:
 
     Node rows: ``id<TAB>label<TAB>kind<TAB>types`` with comma-separated types.
     Edge rows: ``id<TAB>source<TAB>label<TAB>target``.
-    Errors are reported with their 1-based line number.
+    Rows are parsed here and checked by ``Graph``; every error, from either,
+    is reported with the file and 1-based line of the row that caused it.
     """
-    nodes: list[Node] = []
-    seen_nodes: set[int] = set()
-    for lineno, line in enumerate(node_rows, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        n = _parse_node_row(line, lineno)
-        if n.id in seen_nodes:
-            raise GraphLoadError(f"nodes.tsv line {lineno}: duplicate node id {n.id}")
-        seen_nodes.add(n.id)
-        nodes.append(n)
-    edges: list[Edge] = []
-    seen_edges: set[int] = set()
-    for lineno, line in enumerate(edge_rows, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        e = _parse_edge_row(line, lineno)
-        if e.id in seen_edges:
-            raise GraphLoadError(f"edges.tsv line {lineno}: duplicate edge id {e.id}")
-        for endpoint in (e.source, e.target):
-            if endpoint not in seen_nodes:
-                raise GraphLoadError(f"edges.tsv line {lineno}: unknown node {endpoint}")
-        seen_edges.add(e.id)
-        edges.append(e)
-    return Graph(nodes, edges)
+    where = ["nodes.tsv", 0]
+
+    def parsed(name, rows, parse):
+        for lineno, line in enumerate(rows, start=1):
+            line = line.rstrip("\n")
+            if line:
+                where[:] = name, lineno
+                yield parse(line)
+
+    try:
+        return Graph(
+            parsed("nodes.tsv", node_rows, _parse_node_row), parsed("edges.tsv", edge_rows, _parse_edge_row)
+        )
+    except GraphLoadError as exc:
+        raise GraphLoadError(f"{where[0]} line {where[1]}: {exc}") from None
 
 
 def load_graph_files(nodes_path: str, edges_path: str) -> Graph:
-    with open(nodes_path, encoding="utf-8") as nf:
-        node_rows = nf.readlines()
-    with open(edges_path, encoding="utf-8") as ef:
-        edge_rows = ef.readlines()
-    return load_graph(node_rows, edge_rows)
+    with open(nodes_path, encoding="utf-8") as nf, open(edges_path, encoding="utf-8") as ef:
+        return load_graph(nf, ef)
 
 
 def nodes_tsv(g: Graph) -> str:

@@ -236,7 +236,8 @@ class _Parser:
         return tok.kind == "sym" and tok.value == sym
 
     def _fresh_var(self) -> str:
-        name = f"_g{self._fresh}"
+        # no variable token contains "#", so a shorthand never captures a user variable
+        name = f"#{self._fresh}"
         self._fresh += 1
         self.synthetic.add(name)
         return name

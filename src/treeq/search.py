@@ -123,6 +123,8 @@ class SearchState:
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
         if not seeds.active:
             raise SeedSetError("all seed sets are universal")
+        if cfg.filters.score is not None and cfg.filters.score not in _SCORES:
+            raise ValueError(f"unknown score function {cfg.filters.score!r}")
         self.graph = g
         self.seeds = seeds
         self.cfg = cfg
@@ -535,9 +537,6 @@ def _run_generations(state: SearchState) -> None:
             current.append(t)
 
     while current:
-        if state.deadline_passed():
-            state.stats.timed_out = True
-            return
         nxt: list[_GenTree] = []
         for t in current:
             if state.deadline_passed():

@@ -57,6 +57,14 @@ class _Builder:
         self._edges.append(Edge(eid, source, target, label))
         return eid
 
+    def path(self, start: int, label: str, length: int) -> int:
+        """Chain ``length`` fresh nodes after ``start`` along ``label`` edges; return the last."""
+        for _ in range(length):
+            nxt = self.node()
+            self.edge(start, label, nxt)
+            start = nxt
+        return start
+
     def graph(self) -> Graph:
         return Graph(self._nodes, self._edges)
 
@@ -89,10 +97,7 @@ def gen_line(m: int, nl: int) -> Workload:
     prev = b.node(_seed_label(0))
     seeds.append(prev)
     for k in range(1, m):
-        for _ in range(nl):
-            nxt = b.node()
-            b.edge(prev, "e", nxt)
-            prev = nxt
+        prev = b.path(prev, "e", nl)
         nxt = b.node(_seed_label(k))
         b.edge(prev, "e", nxt)
         prev = nxt
@@ -122,10 +127,7 @@ def gen_comb(na: int, ns: int, sl: int, dba: int) -> Workload:
     prev = b.node(_seed_label(next(label)))
     spine.append(prev)
     for _ in range(na - 1):
-        for _ in range(dba):
-            nxt = b.node()
-            b.edge(prev, "e", nxt)
-            prev = nxt
+        prev = b.path(prev, "e", dba)
         nxt = b.node(_seed_label(next(label)))
         b.edge(prev, "e", nxt)
         prev = nxt
@@ -134,10 +136,7 @@ def gen_comb(na: int, ns: int, sl: int, dba: int) -> Workload:
     for anchor in spine:
         prev = anchor
         for _ in range(ns):
-            for _ in range(sl - 1):
-                nxt = b.node()
-                b.edge(prev, "e", nxt)
-                prev = nxt
+            prev = b.path(prev, "e", sl - 1)
             nxt = b.node(_seed_label(next(label)))
             b.edge(prev, "e", nxt)
             prev = nxt
@@ -160,11 +159,7 @@ def gen_star(m: int, sl: int) -> Workload:
     center = b.node()
     seeds = []
     for k in range(m):
-        prev = center
-        for _ in range(sl - 1):
-            nxt = b.node()
-            b.edge(prev, "e", nxt)
-            prev = nxt
+        prev = b.path(center, "e", sl - 1)
         nxt = b.node(_seed_label(k))
         b.edge(prev, "e", nxt)
         seeds.append(nxt)
@@ -238,12 +233,7 @@ def gen_cdf(m: int, nt: int, nl: int, sl: int, random_seed: int) -> Workload:
         rng.shuffle(combos)
         for i in range(nl):
             tl, bl = combos[i % len(combos)]
-            prev = tl
-            for _ in range(sl - 1):
-                nxt = b.node()
-                b.edge(prev, "link", nxt)
-                prev = nxt
-            b.edge(prev, "link", bl)
+            b.edge(b.path(tl, "link", sl - 1), "link", bl)
         query = _CDF_QUERY_M2
     else:
         eligible_pairs = sorted(rng.sample(sorted(bottom_pairs), len(bottom_pairs) // 2))
@@ -254,11 +244,7 @@ def gen_cdf(m: int, nt: int, nl: int, sl: int, random_seed: int) -> Workload:
             combo = combos[i % len(combos)]
             multiplicity[combo] = multiplicity.get(combo, 0) + 1
             tl, (bl1, bl2) = combo
-            fork = tl
-            for _ in range(sl - 2):
-                nxt = b.node()
-                b.edge(fork, "link", nxt)
-                fork = nxt
+            fork = b.path(tl, "link", sl - 2)
             b.edge(fork, "link", bl1)
             b.edge(fork, "link", bl2)
             b.node()  # padding, keeps the node-count formula exact

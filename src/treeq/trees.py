@@ -41,7 +41,6 @@ class SeedSets:
         #: original indices of the non-universal sets, in order
         self.active: tuple[int, ...] = tuple(i for i, u in enumerate(self.universal) if not u)
         self.full_mask = (1 << len(self.active)) - 1
-        self._bit_of_set = {orig: bit for bit, orig in enumerate(self.active)}
         self._node_bits: dict[int, int] = {}
         for bit, orig in enumerate(self.active):
             for n in self.sets[orig]:
@@ -54,11 +53,9 @@ class SeedSets:
     def seed_nodes(self) -> frozenset[int]:
         return frozenset(self._node_bits)
 
-    def set_bit(self, orig_index: int) -> int:
-        return 1 << self._bit_of_set[orig_index]
-
     def sets_of_mask(self, mask: int) -> list[int]:
-        return [orig for orig in self.active if mask & self.set_bit(orig)]
+        """Original indices of the non-universal sets whose bits are set in ``mask``."""
+        return [orig for bit, orig in enumerate(self.active) if mask >> bit & 1]
 
     def chosen_seeds(self, nodes: Iterable[int]) -> dict[int, int]:
         """Map original set index -> the unique member node among ``nodes``."""

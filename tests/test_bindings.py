@@ -16,13 +16,12 @@ from treeq.bindings import (
     JoinKindError,
     evaluate_bgp,
     join_all,
-    match_edge_pattern,
     natural_join,
     project,
 )
 from treeq.engine import evaluate_query
 from treeq.graph import Edge, Graph, Node
-from treeq.lang import QueryValidationError, parse_query, satisfies, validate_query
+from treeq.lang import Bgp, QueryValidationError, parse_query, satisfies, validate_query
 from treeq.synth import gen_cdf, gen_random_instance
 from treeq.trees import ResultTree
 
@@ -37,19 +36,19 @@ def _bgp(text: str):
 
 def test_match_us_entrepreneurs(fig1):
     bgp, _ = _bgp('(?x) :- (?x[type = "entrepreneur"], "citizenOf", "USA")')
-    t = match_edge_pattern(fig1, bgp.patterns[0])
+    t = evaluate_bgp(fig1, bgp)
     assert {row[0] for row in t.rows} == {2, 4}
 
 
 def test_match_french_politicians(fig1):
     bgp, _ = _bgp('(?z) :- (?z[type = "politician"], "citizenOf", "France")')
-    t = match_edge_pattern(fig1, bgp.patterns[0])
+    t = evaluate_bgp(fig1, bgp)
     assert {row[0] for row in t.rows} == {9}
 
 
 def test_match_nothing(fig1):
     bgp, _ = _bgp('(?x) :- (?x, "doesNotExist", ?y)')
-    assert len(match_edge_pattern(fig1, bgp.patterns[0])) == 0
+    assert len(evaluate_bgp(fig1, bgp)) == 0
 
 
 def test_two_pattern_group_joins_to_bob(fig1):
@@ -66,7 +65,7 @@ def test_two_pattern_group_with_orgc(fig1):
 
 def test_single_pattern_group_equals_match(fig1):
     bgp, _ = _bgp("(?x) :- (?x, ?e, ?y)")
-    direct = match_edge_pattern(fig1, bgp.patterns[0])
+    direct = _scan_match(fig1, bgp.patterns[0])
     via_bgp = evaluate_bgp(fig1, bgp)
     assert project(via_bgp, direct.columns).rows == direct.rows
 
@@ -301,7 +300,7 @@ def test_pattern_group_joins_along_shared_variables(monkeypatch):
     text = '(?a, ?d) :- (?a, "p", ?b), (?b, "q", ?c), (?c, "r", ?d)'
     vq = validate_query(parse_query(text))
     bgp = vq.ast.bgps[0]
-    sizes = {p: len(match_edge_pattern(g, p)) for p in bgp.patterns}
+    sizes = {p: len(evaluate_bgp(g, Bgp((p,)))) for p in bgp.patterns}
     steps = _spy_on_probes(monkeypatch)
     table = evaluate_bgp(g, bgp, vq.ast.synthetic)
     assert table.columns == ("a", "b", "c", "d")
@@ -391,7 +390,7 @@ def test_index_nested_loops_equal_scan_and_join_on_random_graphs():
                 continue  # a pattern repeats a variable, or the body has no variable
             for bgp in vq.ast.bgps:
                 for p in bgp.patterns:
-                    assert _outcome(match_edge_pattern, g, p) == _outcome(_scan_match, g, p)
+                    assert _outcome(evaluate_bgp, g, Bgp((p,))) == _outcome(_scan_match, g, p)
                 expected = _outcome(_scan_and_join, g, bgp, vq.ast.synthetic)
                 assert _outcome(evaluate_bgp, g, bgp, vq.ast.synthetic) == expected, patterns
                 checked += 1

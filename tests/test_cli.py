@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from treeq import cli
+from treeq import cli, search
 from treeq.cli import EXIT_ERROR, EXIT_OK, EXIT_ORACLE_BUDGET, EXIT_PARTIAL, main
 from treeq.search import run_search
 from treeq.synth import Workload, write_workload
@@ -68,6 +68,18 @@ def test_run_uni_query_serializes_root(tmp_path, fig1_files, capsys):
     payload = json.loads(captured.out)
     (row,) = payload["rows"]
     assert row[0] == {"edges": [11], "nodes": [6, 9], "root": 9}
+
+
+@pytest.mark.parametrize("algo", ["molesp", "bft"])
+def test_unknown_score_is_rejected_before_searching(tmp_path, fig1_files, capsys, monkeypatch, algo):
+    entered = []
+    monkeypatch.setattr(search, "_drain", lambda *a: entered.append("rooted"))
+    monkeypatch.setattr(search, "_run_generations", lambda *a: entered.append("generations"))
+    text = '(?w) :- (?a[label = "Elon"], ?b[label = "Doug"], TREE ?w) SCORE bogus'
+    code, captured = _run_query(tmp_path, fig1_files, capsys, text, "--algo", algo)
+    assert code == EXIT_ERROR
+    assert "unknown score function 'bogus'" in captured.err
+    assert entered == []
 
 
 def test_run_tsv_output(tmp_path, fig1_files, capsys):
@@ -232,6 +244,16 @@ def test_bench_unknown_algorithm(tmp_path, capsys):
     main(["gen", "--family", "line", "--m", "3", "--nL", "1", "--out", str(tmp_path / "w")])
     code = main(["bench", "--workload", str(tmp_path / "w"), "--algos", "gam,typo", "--csv", str(tmp_path / "o.csv")])
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("algos", [",", " , "])
+def test_bench_without_algorithms_is_a_usage_error(tmp_path, capsys, algos):
+    main(["gen", "--family", "line", "--m", "3", "--nL", "1", "--out", str(tmp_path / "w")])
+    capsys.readouterr()
+    code = main(["bench", "--workload", str(tmp_path / "w"), "--algos", algos, "--csv", str(tmp_path / "o.csv")])
+    assert code == EXIT_ERROR
+    assert "--algos" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_bench_timed_out_run_recorded(tmp_path, capsys):

@@ -49,22 +49,44 @@ def test_edge_referencing_missing_node():
 
 
 def test_duplicate_ids_reported_with_line():
-    with pytest.raises(GraphLoadError, match="line 2.*duplicate node id 1"):
+    with pytest.raises(GraphLoadError, match="nodes.tsv line 2: duplicate node id 1"):
         load_graph(["1\ta\turi\t", "1\tb\turi\t"], [])
-    with pytest.raises(GraphLoadError, match="line 2.*duplicate edge id 1"):
+    with pytest.raises(GraphLoadError, match="edges.tsv line 2: duplicate edge id 1"):
         load_graph(
             ["1\ta\turi\t", "2\tb\turi\t"],
             ["1\t1\tx\t2", "1\t2\tx\t1"],
         )
 
 
+@pytest.mark.parametrize(
+    "node_rows, edge_rows, message",
+    [
+        (["1\ta\turi\t", "", "2\tb\tblank\t"], [], "nodes.tsv line 3: node 2: unknown kind 'blank'"),
+        (["1\ta\turi\t"], ["1\t1\tx\t1", "2\t7\tx\t1"], "edges.tsv line 2: edge 2 references unknown node 7"),
+        (["1\ta\turi\t"], ["1\t1\tx\t7"], "edges.tsv line 1: edge 1 references unknown node 7"),
+        (
+            ["1\ta\turi\t", "2\tb\tliteral\t"],
+            ["1\t1\tx\t2", "", "2\t2\tx\t1"],
+            "edges.tsv line 3: edge 2 leaves literal node 2",
+        ),
+    ],
+    ids=["kind", "unknown-source", "unknown-target", "literal-source"],
+)
+def test_graph_rejections_reported_with_file_and_line(node_rows, edge_rows, message):
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(node_rows, edge_rows)
+    assert str(err.value) == message
+
+
 def test_malformed_row_reported_with_line():
-    with pytest.raises(GraphLoadError, match="line 1"):
+    with pytest.raises(GraphLoadError, match="nodes.tsv line 1: expected 4"):
         load_graph(["1\ta\turi"], [])
-    with pytest.raises(GraphLoadError, match="line 1"):
+    with pytest.raises(GraphLoadError, match="nodes.tsv line 1: bad node id"):
         load_graph(["x\ta\turi\t"], [])
-    with pytest.raises(GraphLoadError, match="line 2"):
+    with pytest.raises(GraphLoadError, match="edges.tsv line 2: expected 4"):
         load_graph(["1\ta\turi\t", "2\tb\turi\t"], ["1\t1\tx\t2", "2\t1\tx"])
+    with pytest.raises(GraphLoadError, match="edges.tsv line 1: bad integer field"):
+        load_graph(["1\ta\turi\t"], ["1\t1\tx\ty"])
 
 
 @pytest.mark.parametrize(
@@ -120,6 +142,7 @@ def test_round_trip_includes_fig1_text(fig1):
 
 def test_degree_matches_recomputed_adjacency_on_random_graphs():
     rng = random.Random(7)
+    loops = 0
     for _ in range(100):
         n = rng.randint(1, 10)
         nodes = [Node(i + 1, str(i + 1)) for i in range(n)]
@@ -127,17 +150,16 @@ def test_degree_matches_recomputed_adjacency_on_random_graphs():
             Edge(k + 1, rng.randint(1, n), rng.randint(1, n), "x")
             for k in range(rng.randint(0, 15))
         ]
+        rng.shuffle(edges)  # ids reach the constructor out of order
+        loops += sum(e.source == e.target for e in edges)
         g = Graph(nodes, edges)
         for nid in g.nodes:
-            out_count = sum(1 for e in g.edges.values() if e.source == nid)
-            in_count = sum(1 for e in g.edges.values() if e.target == nid)
-            assert g.degree(nid) == out_count + in_count
-            for eid in g.adjacent_edges(nid):
-                e = g.edges[eid]
-                assert nid in (e.source, e.target)
-            assert len(g.incoming_edges(nid)) == in_count
-            for eid in g.incoming_edges(nid):
-                assert g.edges[eid].target == nid
+            out_count = sum(1 for e in edges if e.source == nid)
+            incoming = sorted(e.id for e in edges if e.target == nid)
+            assert g.degree(nid) == out_count + len(incoming)
+            assert g.adjacent_edges(nid) == sorted(e.id for e in edges if nid in (e.source, e.target))
+            assert g.incoming_edges(nid) == incoming
+    assert loops
 
 
 def test_label_index_matches_a_recount_on_random_graphs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treeq.engine import evaluate_query
 from treeq.graph import Graph
+from treeq.synth import gen_cdf
 from treeq.lang import (
     Bgp,
     Condition,
@@ -114,6 +115,21 @@ def test_shorthand_is_equivalent_to_explicit_label_equality(fig1):
     explicit = Predicate("e", (Condition("label", "=", "citizenOf"),))
     for eid in fig1.edges:
         assert satisfies(shorthand, fig1, eid, "edge") == satisfies(explicit, fig1, eid, "edge")
+
+
+@pytest.mark.parametrize(
+    "query, rows",
+    [
+        ('(?a, ?b) :- (?x, "c", ?y), (?a, ?_g0, ?b)', 144),  # one row per edge
+        ('(?x, ?y) :- (?x, "c", ?y), (?_g0, "g", ?x)', 0),
+    ],
+    ids=["edge-position", "node-position"],
+)
+def test_shorthand_variables_never_capture_a_user_variable(query, rows):
+    g = gen_cdf(2, 8, 16, 3, 1).graph
+    result = evaluate_query(g, parse_query(query))
+    assert len(result.rows) == rows
+    assert result == evaluate_query(g, parse_query(query.replace("?_g0", "?z")))
 
 
 def test_parse_errors_carry_position():

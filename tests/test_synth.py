@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -187,3 +188,31 @@ def test_seed_labels_continue_past_the_alphabet():
     w = gen_comb(9, 2, 1, 1)  # 27 seed sets
     labels = [w.graph.nodes[s[0]].label for s in w.seed_sets]
     assert labels[0] == "A" and "S27" in labels and len(labels) == 27
+
+
+# sha256 prefixes of nodes_tsv + edges_tsv: written workloads, the benchmark
+# inputs and the pinned search counters all depend on these exact ids
+@pytest.mark.parametrize(
+    "gen, args, digest",
+    [
+        (gen_line, (2, 0), "83d52b25fce24dd2"),
+        (gen_line, (3, 1), "2eb4926b9d652468"),
+        (gen_line, (3, 2), "cb6d7fd4d715689e"),
+        (gen_line, (5, 2), "b399289fa87fa133"),
+        (gen_comb, (1, 1, 1, 1), "83d52b25fce24dd2"),
+        (gen_comb, (2, 1, 2, 1), "632cd6745d9356b3"),
+        (gen_comb, (3, 1, 2, 3), "cecde51fac47ccda"),
+        (gen_comb, (9, 2, 1, 1), "f0be375333a8c506"),
+        (gen_star, (2, 1), "1afa0736c99e237c"),
+        (gen_star, (4, 2), "a7c0cb854a7c95db"),
+        (gen_star, (6, 2), "6af9cd60887dc4d5"),
+        (gen_cdf, (2, 1, 2, 2, 0), "a54ff18395c5a1dd"),
+        (gen_cdf, (2, 96, 384, 3, 1), "9a224f07e8e0dc2b"),
+        (gen_cdf, (3, 1, 2, 3, 0), "a61c1296f9f0f7ee"),
+        (gen_cdf, (3, 2, 4, 3, 77), "5799d43ea3ca365a"),
+        (gen_cdf, (3, 2, 6, 3, 77), "dac22294e8d6ab64"),
+    ],
+)
+def test_generated_graphs_keep_their_ids(gen, args, digest):
+    g = gen(*args).graph
+    assert hashlib.sha256((nodes_tsv(g) + edges_tsv(g)).encode()).hexdigest()[:16] == digest
