@@ -130,6 +130,10 @@ def _workload_searches(w: Workload, timeout_ms: int | None):
     return searches, max((seeds.m for seeds, _ in searches), default=0)
 
 
+#: the ``SearchStats`` counters a bench record sums over a workload's searches
+BENCH_COUNTERS = ("provenances_built", "trees_pruned", "queue_pops", "results_found")
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
@@ -146,15 +150,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         runtimes = []
         for rep in range(args.reps):
             total_ms = 0.0
-            built = found = 0
+            counts = dict.fromkeys(BENCH_COUNTERS, 0)
             timed_out = False
             for seeds, filters in searches:
                 cfg = SearchConfig(algorithm=algo, filters=filters)
                 start = time.perf_counter()
                 results, stats = run_search(w.graph, seeds, cfg)
                 total_ms += (time.perf_counter() - start) * 1000.0
-                built += stats.provenances_built
-                found += stats.results_found
+                for name in BENCH_COUNTERS:
+                    counts[name] += getattr(stats, name)
                 timed_out = timed_out or stats.timed_out
             runtimes.append(total_ms)
             records.append(
@@ -164,8 +168,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     "m": m,
                     "rep": rep,
                     "runtime_ms": f"{total_ms:.3f}",
-                    "provenances_built": built,
-                    "results_found": found,
+                    **counts,
                     "timed_out": str(timed_out).lower(),
                 }
             )
@@ -173,7 +176,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{algo}: median {statistics.median(runtimes):.3f} ms, "
             f"mean {statistics.fmean(runtimes):.3f} ms over {args.reps} reps"
         )
-    fieldnames = ["algo", "workload", "m", "rep", "runtime_ms", "provenances_built", "results_found", "timed_out"]
+    fieldnames = ["algo", "workload", "m", "rep", "runtime_ms", *BENCH_COUNTERS, "timed_out"]
     with open(args.csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph
@@ -44,7 +45,6 @@ GENERATION_ALGORITHMS = ("bft", "bft_m", "bft_am")
 EDGE_SET_PRUNED = ("esp", "moesp", "lesp", "molesp")
 
 # process_tree outcomes
-PRUNED = "pruned"
 RESULT = "result"
 RECORDED = "recorded"
 
@@ -152,10 +152,14 @@ class RootedState(SearchState):
         self.multi_queue = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
         # re-rooted copies break the root-reaches-all invariant of UNI trees
         self.reroot_enabled = cfg.algorithm in ("moesp", "molesp") and not self.uni
+        self.edge_set_pruned = cfg.algorithm in EDGE_SET_PRUNED
+        self.spares_merges = cfg.algorithm in ("lesp", "molesp")
 
         self.queues: dict[int, list[tuple]] = {}
         self.hist: set = set()
-        self.by_root: dict[int, list[RootedTree]] = {}
+        # root -> covered mask -> [(record number, tree), ...] in record order
+        self.by_root: dict[int, dict[int, list[tuple[int, RootedTree]]]] = {}
+        self.records = 0
         self.rooted_keys: set[tuple] = set()
         self.signatures: dict[int, int] = {}
 
@@ -218,20 +222,24 @@ def admissible_edges(
             yield e, far, far_bits
 
 
-def try_grow(state: SearchState, t: RootedTree, e: int) -> RootedTree:
-    """Extend ``t`` at its root with edge ``e``, which ``admissible_edges`` admitted."""
+def try_grow(state: RootedState, t: RootedTree, e: int) -> RootedTree | None:
+    """Extend ``t`` at its root with edge ``e``, which ``admissible_edges`` admitted.
+
+    Returns None, and builds nothing, when deduplication prunes the grown
+    tree. The far node's seed signature is updated either way.
+    """
     far = state.graph.other_endpoint(e, t.root)
     far_bits = state.seeds.bits(far)
-    covered = t.covered | far_bits
-    return RootedTree(
-        key=tuple(sorted(t.key + (e,))),
-        root=far,
-        nodes=t.nodes | {far},
-        covered=covered,
-        kind=GROW,
-        path_anchor=t.path_anchor if far_bits == 0 else None,
-        gained=covered.bit_count() > t.covered.bit_count(),
-    )
+    key = tuple(sorted(t.key + (e,)))
+    anchor = None if far_bits else t.path_anchor
+    if anchor is not None:
+        # a nonempty root-ended path from a single seed marks its root as reached
+        state.signatures[far] = state.signatures.get(far, 0) | state.seeds.bits(anchor)
+    if not is_new(state, key, far, GROW):
+        state.stats.trees_pruned += 1
+        return None
+    # far's seed sets are not covered by t yet, so any seed bit is a gain
+    return RootedTree(key, far, t.nodes | {far}, t.covered | far_bits, GROW, anchor, far_bits != 0)
 
 
 def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree) -> bool:
@@ -246,10 +254,11 @@ def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _G
     return state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges
 
 
-def _union(t1: RootedTree, t2: RootedTree) -> RootedTree:
+def _union(t1: RootedTree, t2: RootedTree, key: tuple[int, ...]) -> RootedTree:
+    """The merge of ``t1`` and ``t2`` at ``t1``'s root; ``key`` is their sorted edge union."""
     covered = t1.covered | t2.covered
     return RootedTree(
-        key=tuple(sorted(t1.key + t2.key)),
+        key=key,
         root=t1.root,
         nodes=t1.nodes | t2.nodes,
         covered=covered,
@@ -264,61 +273,43 @@ def merge_partners(state: RootedState, t1: RootedTree) -> list[RootedTree]:
 
     A partner must have an edge, may share seed sets with ``t1`` only through
     the root, must share no node but the root, and must pass ``mergeable``.
-    The list is a snapshot: merging records more trees at the root.
+    Only the covered-mask buckets with no clashing seed set are scanned;
+    the records of several buckets are sorted back into record order. The
+    list is a snapshot: merging records more trees at the root.
     """
     root, nodes = t1.root, t1.nodes
     clash = t1.covered & ~state.seeds.bits(root)
-    return [
-        t2
-        for t2 in state.by_root.get(root, ())
-        if t2.key and not t2.covered & clash and len(nodes & t2.nodes) == 1 and mergeable(state, t1, t2)
-    ]
+    lists = [records for mask, records in state.by_root.get(root, {}).items() if not mask & clash]
+    records = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+    return [t2 for _, t2 in records if t2.key and len(nodes & t2.nodes) == 1 and mergeable(state, t1, t2)]
 
 
 # ---------------------------------------------------------------------------
 # Deduplication and bookkeeping
 
 
-def is_new(state: RootedState, t: RootedTree) -> bool:
-    """Decide whether a freshly built tree survives deduplication.
+def is_new(state: RootedState, key: tuple[int, ...], root: int, kind: str) -> bool:
+    """Decide whether a grown or merged tree would survive deduplication.
 
-    Plain rooted search discards a tree only when the identical rooted tree
-    (same edge set and root) was seen before. Edge-set pruning discards any
-    tree whose nonempty edge set was seen under any root. The limited
-    variants spare a merge tree when its root already has seed-rooted paths
-    from three or more sets and three or more adjacent graph edges, unless
-    the identical rooted tree is already recorded.
+    It is asked before the tree is built. Plain rooted search discards a
+    tree only when the identical rooted tree (same edge set and root) was
+    seen before. Edge-set pruning discards any tree whose edge set was seen
+    under any root. The limited variants spare a merge tree when its root
+    already has seed-rooted paths from three or more sets and three or more
+    adjacent graph edges, unless the identical rooted tree is already
+    recorded.
     """
-    algo = state.cfg.algorithm
-    if algo not in EDGE_SET_PRUNED:
-        return (t.key, t.root) not in state.hist
-    if not t.key:
+    if not state.edge_set_pruned:
+        return (key, root) not in state.hist
+    if key not in state.hist:
         return True
-    if t.key not in state.hist:
-        return True
-    if algo in ("lesp", "molesp") and t.kind == MERGE:
-        if (
-            state.signatures.get(t.root, 0).bit_count() >= 3
-            and state.graph.degree(t.root) >= 3
-            and (t.key, t.root) not in state.rooted_keys
-        ):
-            return True
-    return False
-
-
-def _hist_add(state: RootedState, t: RootedTree) -> None:
-    if state.cfg.algorithm in EDGE_SET_PRUNED:
-        if t.key:
-            state.hist.add(t.key)
-    else:
-        state.hist.add((t.key, t.root))
-
-
-def _update_signature(state: RootedState, t: RootedTree) -> None:
-    # a nonempty root-ended path from a single seed marks its root as reached
-    if t.path_anchor is not None and t.key:
-        bits = state.seeds.bits(t.path_anchor)
-        state.signatures[t.root] = state.signatures.get(t.root, 0) | bits
+    return (
+        state.spares_merges
+        and kind == MERGE
+        and state.signatures.get(root, 0).bit_count() >= 3
+        and state.graph.degree(root) >= 3
+        and (key, root) not in state.rooted_keys
+    )
 
 
 def _record_result(state: SearchState, edges: tuple[int, ...], nodes: Iterable[int], rep: int) -> None:
@@ -345,8 +336,7 @@ def record_for_merging(state: RootedState, t: RootedTree) -> None:
     each of its inputs, a copy of the tree rooted at every other seed node
     is recorded and immediately merged; such copies merge but never grow.
     """
-    state.by_root.setdefault(t.root, []).append(t)
-    state.rooted_keys.add((t.key, t.root))
+    record_partner(state, t)
     if not (state.reroot_enabled and t.gained and t.kind in (GROW, MERGE)):
         return
     for n in sorted(t.nodes):
@@ -356,9 +346,20 @@ def record_for_merging(state: RootedState, t: RootedTree) -> None:
             continue
         copy = RootedTree(t.key, n, t.nodes, t.covered, REROOT)
         state.stats.provenances_built += 1
-        state.by_root.setdefault(n, []).append(copy)
-        state.rooted_keys.add((t.key, n))
+        record_partner(state, copy)
         merge_all(state, copy)
+
+
+def record_partner(state: RootedState, t: RootedTree) -> None:
+    """File ``t`` as a merge partner at its root, after every earlier record."""
+    state.records += 1
+    entry = (state.records, t)
+    buckets = state.by_root.get(t.root)
+    if buckets is None:
+        state.by_root[t.root] = {t.covered: [entry]}
+    else:
+        buckets.setdefault(t.covered, []).append(entry)
+    state.rooted_keys.add((t.key, t.root))
 
 
 def _enqueue_grow_pairs(state: RootedState, t: RootedTree) -> None:
@@ -367,12 +368,9 @@ def _enqueue_grow_pairs(state: RootedState, t: RootedTree) -> None:
 
 
 def process_tree(state: RootedState, t: RootedTree) -> str:
-    """Deduplicate, then report or record a tree and queue its grow steps."""
-    if not is_new(state, t):
-        state.stats.trees_pruned += 1
-        return PRUNED
+    """Report or record a tree that survived deduplication and queue its grow steps."""
     state.stats.provenances_built += 1
-    _hist_add(state, t)
+    state.hist.add(t.key if state.edge_set_pruned else (t.key, t.root))
     if is_result(t, state.seeds):
         _record_result(state, t.key, t.nodes, t.root)
         return RESULT
@@ -392,7 +390,11 @@ def merge_all(state: RootedState, t: RootedTree) -> None:
         pending = []
         for t1 in current:
             for t2 in merge_partners(state, t1):
-                merged = _union(t1, t2)
+                key = tuple(sorted(t1.key + t2.key))
+                if not is_new(state, key, t1.root, MERGE):
+                    state.stats.trees_pruned += 1
+                    continue
+                merged = _union(t1, t2, key)
                 if process_tree(state, merged) == RECORDED:
                     pending.append(merged)
 
@@ -418,7 +420,8 @@ def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> RootedState:
     """Create a search state with one start tree per seed of each non-universal set.
 
     A node belonging to several seed sets gets a single start tree covering
-    all of them at once.
+    all of them at once. Start trees need no deduplication: their nodes are
+    distinct.
     """
     state = RootedState(g, seeds, cfg)
     for s in _start_nodes(g, seeds):
@@ -436,10 +439,8 @@ def _drain(state: RootedState) -> None:
         if entry is None:
             return
         state.stats.queue_pops += 1
-        t, e = entry
-        grown = try_grow(state, t, e)
-        _update_signature(state, grown)
-        if process_tree(state, grown) == RECORDED and grown.key:
+        grown = try_grow(state, *entry)
+        if grown is not None and process_tree(state, grown) == RECORDED:
             merge_all(state, grown)
 
 

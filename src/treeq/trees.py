@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -69,15 +69,16 @@ class SeedSets:
         return chosen
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """A connected acyclic edge set with a distinguished root and provenance.
 
     ``covered`` is the mask of non-universal seed sets that already have their
     one chosen seed inside the tree. ``path_anchor`` is set while the tree is
     still a root-ended path from a single seed; it drives the per-node seed
     signatures. ``gained`` records whether this construction step covered
-    strictly more seed sets than each of its inputs.
+    strictly more seed sets than each of its inputs. It is a ``NamedTuple``,
+    which is cheaper to build than a frozen dataclass; ``_replace`` derives a
+    changed copy.
     """
 
     key: tuple[int, ...]  # sorted edge ids: the canonical edge-set identity

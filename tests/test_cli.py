@@ -9,8 +9,8 @@ import pytest
 
 from treeq import cli, search
 from treeq.cli import EXIT_ERROR, EXIT_OK, EXIT_ORACLE_BUDGET, EXIT_PARTIAL, main
-from treeq.search import run_search
-from treeq.synth import Workload, write_workload
+from treeq.search import SearchConfig, run_search
+from treeq.synth import Workload, load_workload, write_workload
 from treeq.trees import ResultTree
 
 from conftest import FIG1_EDGES, FIG1_NODES, Q1_TEXT, make_graph
@@ -197,7 +197,8 @@ def test_gen_invalid_parameters(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
-def test_bench_writes_csv(tmp_path, capsys):
+def test_bench_writes_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CTP_DEFAULT_TIMEOUT_MS", raising=False)
     main(["gen", "--family", "comb", "--nA", "2", "--nS", "1", "--sL", "2", "--dBA", "1", "--out", str(tmp_path / "w")])
     csv_path = tmp_path / "bench.csv"
     code = main(
@@ -206,13 +207,18 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert code == EXIT_OK
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["algo", "workload", "m", "rep", "runtime_ms", "provenances_built", "results_found", "timed_out"]
+    counters = ["provenances_built", "trees_pruned", "queue_pops", "results_found"]
+    assert rows[0] == ["algo", "workload", "m", "rep", "runtime_ms", *counters, "timed_out"]
     assert len(rows) == 1 + 2 * 2
     body = rows[1:]
     assert {r[0] for r in body} == {"gam", "molesp"}
     assert all(r[2] == "4" for r in body)  # nA*(nS+1) seeds
-    assert all(r[6] == "1" for r in body)
-    assert all(r[7] == "false" for r in body)
+    assert all(r[8] == "1" for r in body)
+    assert all(r[9] == "false" for r in body)
+    w = load_workload(tmp_path / "w")
+    for r in body:
+        _, stats = run_search(w.graph, w.seeds(), SearchConfig(algorithm=r[0]))
+        assert r[5:9] == [str(getattr(stats, name)) for name in counters], r[0]
     out = capsys.readouterr().out
     assert "median" in out and "mean" in out
 

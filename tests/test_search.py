@@ -12,7 +12,6 @@ from treeq.graph import Graph
 from treeq.lang import CtpFilters
 from treeq.search import (
     ALGORITHMS,
-    PRUNED,
     RECORDED,
     RESULT,
     SearchConfig,
@@ -27,6 +26,7 @@ from treeq.search import (
     merge_partners,
     process_tree,
     record_for_merging,
+    record_partner,
     run_search,
     try_grow,
 )
@@ -49,12 +49,19 @@ def _pending_pairs(state):
     return sum(len(q) for q in state.queues.values())
 
 
+def _recorded(state, root=None):
+    """The merge partners recorded at ``root`` (at any root when None), in record order."""
+    entries = sorted(entry for buckets in state.by_root.values() for records in buckets.values() for entry in records)
+    return [t for _, t in entries if root is None or t.root == root]
+
+
 def _merge(state, t1, t2):
     """Merge ``t1`` with ``t2`` as the only tree recorded anywhere; None when refused."""
-    state.by_root = {t2.root: [t2]}
+    state.by_root = {}
+    record_partner(state, t2)
     partners = merge_partners(state, t1)
     assert partners in ([], [t2])
-    return _union(t1, t2) if partners else None
+    return _union(t1, t2, tuple(sorted(t1.key + t2.key))) if partners else None
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,7 @@ def test_all_universal_rejected(path_abc):
 def test_grow_b_with_adjacent_edge(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    init_b = state.by_root[4][0]
+    init_b = _recorded(state, 4)[0]
     grown = try_grow(state, init_b, 4)  # edge B -> "3"
     assert grown is not None
     assert grown.key == (4,) and grown.root == 5
@@ -131,7 +138,7 @@ def test_grow_respects_max_edges_and_labels(path_abc):
     assert _root_edges(state, t) == []  # edge 2 would exceed MAX 1
     cfg2 = SearchConfig(algorithm="molesp", filters=CtpFilters(labels=frozenset({"zzz"})))
     state2 = init_search(g, seeds, cfg2)
-    init_a = state2.by_root[1][0]
+    init_a = _recorded(state2, 1)[0]
     assert _root_edges(state2, init_a) == []
     assert not any(state2.queues.values())
 
@@ -147,7 +154,7 @@ def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     monkeypatch.setattr(search, "try_grow", spy)
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     _drain(state)
-    assert any(t.kind == REROOT for trees in state.by_root.values() for t in trees)
+    assert any(t.kind == REROOT for t in _recorded(state))
     assert grown_kinds and REROOT not in grown_kinds
 
 
@@ -210,13 +217,18 @@ def test_merge_partners_filter_recorded_trees_in_record_order():
     c = _tree((4,), 1, {1, 5}, 0)            # shares leaf 5 besides the root
     a = _tree((5,), 1, {1, 6}, 0)            # merges
     e = _tree((1, 5), 1, {1, 2, 6}, 0b01)    # merges within budget 4, not 3
+    both = _tree((1, 2), 1, {1, 2, 3}, 0b11, kind=MERGE)  # clashes with every bucket but mask 0
     recorded = [_tree((), 1, {1}, 0, kind=INIT), d, b, c, a, e]
     for max_edges, expected in ((None, [d, a, e]), (4, [d, a, e]), (3, [d, a])):
         cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=max_edges))
         state = init_search(g, seeds, cfg)
-        state.by_root = {1: list(recorded)}
+        state.by_root = {}
+        for t in recorded:
+            record_partner(state, t)
+        assert len(state.by_root[1]) == 3  # buckets of masks 0, 0b01 and 0b10
         assert merge_partners(state, t1) == expected, max_edges
-        assert state.by_root[1] == recorded
+        assert merge_partners(state, both) == [c, a], max_edges
+        assert _recorded(state) == recorded
 
 
 def test_merge_covered_algebra(path_abc):
@@ -240,7 +252,7 @@ def test_edge_set_pruning_discards_second_root(path_abc):
         first = _tree((1, 2), 3, {1, 2, 3}, 0b001)
         assert process_tree(state, first) == RECORDED
         second = _tree((1, 2), 2, {1, 2, 3}, 0b001)
-        assert is_new(state, second) is expected, algo
+        assert is_new(state, second.key, second.root, second.kind) is expected, algo
 
 
 def test_spare_condition_rescues_merge_trees(tee_abc):
@@ -251,11 +263,11 @@ def test_spare_condition_rescues_merge_trees(tee_abc):
         state.signatures[3] = 0b111  # three seed-rooted paths reached x
         assert g.degree(3) >= 3
         spared = _tree((1, 2, 4, 6), 3, {1, 2, 3, 6, 7}, 0b101, kind=MERGE)
-        assert is_new(state, spared) is expected, algo
+        assert is_new(state, spared.key, spared.root, MERGE) is expected, algo
         if expected:
             # an identical recorded rooted tree blocks the spare
             record_for_merging(state, spared)
-            assert is_new(state, spared) is False
+            assert is_new(state, spared.key, spared.root, MERGE) is False
 
 
 def test_spare_needs_enough_signature_bits(tee_abc):
@@ -263,8 +275,7 @@ def test_spare_needs_enough_signature_bits(tee_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="lesp"))
     state.hist.add((1, 2))
     state.signatures[3] = 0b011  # only two bits
-    t = _tree((1, 2), 3, {1, 2, 3}, 0b001, kind=MERGE)
-    assert is_new(state, t) is False
+    assert is_new(state, (1, 2), 3, MERGE) is False
 
 
 def test_grow_trees_never_spared(tee_abc):
@@ -272,14 +283,35 @@ def test_grow_trees_never_spared(tee_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     state.hist.add((1, 2))
     state.signatures[3] = 0b111
-    t = _tree((1, 2), 3, {1, 2, 3}, 0b001, kind=GROW)
-    assert is_new(state, t) is False
+    assert is_new(state, (1, 2), 3, GROW) is False
 
 
 def test_first_tree_over_any_edge_set_is_new(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert is_new(state, _tree((2, 3), 2, {2, 3, 4}, 0b010))
+    assert is_new(state, (2, 3), 2, GROW)
+
+
+def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch):
+    # every tree built is counted in provenances_built: a pruned grow step or
+    # merge product is rejected on its edge set before anything is built
+    built, unions, pairs = [], [], []
+    rooted_tree, union, partners = search.RootedTree, search._union, search.merge_partners
+
+    def spy_partners(state, t1):
+        found = partners(state, t1)
+        pairs.extend(found)
+        return found
+
+    monkeypatch.setattr(search, "RootedTree", lambda *a, **k: built.append(rooted_tree(*a, **k)) or built[-1])
+    monkeypatch.setattr(search, "_union", lambda *a: unions.append(union(*a)) or unions[-1])
+    monkeypatch.setattr(search, "merge_partners", spy_partners)
+    w = gen_chain(10)
+    _, stats = run_search(w.graph, SeedSets([(1,), (10,)]), SearchConfig(algorithm="molesp"))
+    assert stats.trees_pruned == 4608  # chain10_span9 in test_search_pins
+    assert len(built) == stats.provenances_built
+    assert len(unions) == sum(t.kind == MERGE for t in built)
+    assert len(pairs) > len(unions)
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +321,27 @@ def test_first_tree_over_any_edge_set_is_new(path_abc):
 def test_reroot_copies_created_at_new_seeds(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    left = state.by_root[4][0], 4
-    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
+    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
     assert process_tree(state, merged) == RECORDED
-    assert any(t.kind == REROOT and t.key == (4, 5) for t in state.by_root[4])
-    assert any(t.kind == REROOT and t.key == (4, 5) for t in state.by_root[6])
+    assert any(t.kind == REROOT and t.key == (4, 5) for t in _recorded(state, 4))
+    assert any(t.kind == REROOT and t.key == (4, 5) for t in _recorded(state, 6))
 
 
 def test_no_reroot_without_seed_gain(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    grown = try_grow(state, state.by_root[1][0], 1)  # A-1, no new seed
+    grown = try_grow(state, _recorded(state, 1)[0], 1)  # A-1, no new seed
     assert not grown.gained
     process_tree(state, grown)
-    assert all(t.kind != REROOT for trees in state.by_root.values() for t in trees)
+    assert all(t.kind != REROOT for t in _recorded(state))
 
 
 def test_no_reroot_under_plain_esp(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="esp"))
-    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100))
+    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
     process_tree(state, merged)
-    assert all(t.kind != REROOT for trees in state.by_root.values() for t in trees)
+    assert all(t.kind != REROOT for t in _recorded(state))
 
 
 def test_process_tree_outcomes(path_abc):
@@ -321,8 +352,16 @@ def test_process_tree_outcomes(path_abc):
     assert process_tree(state, full) == RESULT
     assert len(state.results) == 1
     assert _pending_pairs(state) == queued_before  # results are never grown
+    assert not is_new(state, full.key, full.root, GROW)
+
+
+def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc):
+    g, seeds = path_abc
+    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
+    init_a = _recorded(state, 1)[0]
+    assert process_tree(state, try_grow(state, init_a, 1)) == RECORDED  # A-1
     pruned_before = state.stats.trees_pruned
-    assert process_tree(state, full) == PRUNED
+    assert try_grow(state, init_a, 1) is None
     assert state.stats.trees_pruned == pruned_before + 1
 
 

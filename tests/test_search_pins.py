@@ -13,12 +13,13 @@ import hashlib
 
 import pytest
 
+from treeq.graph import load_graph
 from treeq.lang import CtpFilters
 from treeq.search import ALGORITHMS, SearchConfig, run_search
 from treeq.synth import gen_chain, gen_comb, gen_star
 from treeq.trees import SeedSets
 
-from conftest import random_suite
+from conftest import FIG1_EDGES, FIG1_NODES, random_suite
 
 PINNED = {
     ("fig1", "bft"): (1268, 1364, 0, 22, "da6c717b99683bc1"),
@@ -171,11 +172,19 @@ def test_counters_and_result_order_match_recorded_values(fig1, algorithm):
 
 #: Heavy or order-sensitive cases, pinned for the listed algorithms only. The
 #: m=4..6 instances change their counters when merge partners are visited out
-#: of record order; m3_53 is the slowest bft_m instance of the m<=3 suite.
+#: of record order; m3_53 is the slowest bft_m instance of the m<=3 suite;
+#: fig1_skewed has seed sets skewed enough to turn on one queue per mask.
 EXTRA_PINNED = {
     ("chain10_span9", "gam"): (6144, 0, 2046, 512, "30361bb9b08b6c30"),
     ("chain10_span9", "esp"): (1536, 4608, 2046, 512, "30361bb9b08b6c30"),
     ("chain10_span9", "molesp"): (1536, 4608, 2046, 512, "30361bb9b08b6c30"),
+    ("chain10_span10", "esp"): (3070, 10240, 4092, 1024, "6eee48148abee937"),
+    ("chain10_span10", "molesp"): (3070, 10240, 4092, 1024, "6eee48148abee937"),
+    ("fig1_skewed", "gam"): (21, 0, 9, 1, "c82da1453eed771d"),
+    ("fig1_skewed", "esp"): (17, 4, 9, 1, "c82da1453eed771d"),
+    ("fig1_skewed", "moesp"): (19, 4, 9, 1, "c82da1453eed771d"),
+    ("fig1_skewed", "lesp"): (17, 4, 9, 1, "c82da1453eed771d"),
+    ("fig1_skewed", "molesp"): (19, 4, 9, 1, "c82da1453eed771d"),
     ("m456_50", "moesp"): (2951, 1479, 554, 42, "6fe431d49d7383c5"),
     ("m456_50", "molesp"): (3460, 1392, 735, 42, "6fe431d49d7383c5"),
     ("m456_70", "moesp"): (817, 602, 301, 69, "f49702cb10ce57ee"),
@@ -187,8 +196,12 @@ EXTRA_PINNED = {
 
 
 def _extra_case(name):
-    if name == "chain10_span9":  # the span-9 query of perfbench's chain-search
+    if name == "chain10_span9":  # the span-9 and span-10 queries of perfbench's chain-search
         return gen_chain(10).graph, SeedSets([(1,), (10,)])
+    if name == "chain10_span10":
+        return gen_chain(10).graph, SeedSets([(1,), (11,)])
+    if name == "fig1_skewed":
+        return load_graph(FIG1_NODES.splitlines(), FIG1_EDGES.splitlines()), SeedSets([range(1, 11), (11,), (9,)])
     suite, index = name.split("_")
     index = int(index)
     if suite == "m456":
