@@ -4,7 +4,8 @@ Two families share the soundness conditions (a tree never repeats a node,
 and never holds two seeds from one set):
 
 * generation-based search (``bft``, ``bft_m``, ``bft_am``): unrooted edge
-  sets grown breadth-first from any tree node, minimized before reporting;
+  sets grown breadth-first from any tree node, reported once every leaf is
+  a seed;
 * rooted search (``gam``, ``esp``, ``moesp``, ``lesp``, ``molesp``): trees
   grow only at their root via a priority queue of (tree, edge) pairs and
   merge with previously recorded trees sharing that root.
@@ -163,19 +164,30 @@ class RootedState(SearchState):
         self.rooted_keys: set[tuple] = set()
         self.signatures: dict[int, int] = {}
 
-    def push_pair(self, t: RootedTree, e: int) -> None:
+    def push_pair(self, t: RootedTree, e: int, far: int, far_bits: int) -> None:
+        """Queue growing ``t`` by ``e`` to ``far``, as ``admissible_edges`` yielded them."""
         bucket = t.covered if self.multi_queue else 0
-        # (key, root, e) is unique per pair, so entries never compare trees
-        heappush(self.queues.setdefault(bucket, []), _priority(t, e) + (t,))
+        # (key, root, e) is unique per pair, so entries never compare past e
+        heappush(self.queues.setdefault(bucket, []), _priority(t, e) + (t, far, far_bits))
 
-    def pop_pair(self) -> tuple[RootedTree, int] | None:
-        """Pop from the queue with the fewest pending pairs, best entry first."""
-        live = [(len(q), bucket) for bucket, q in self.queues.items() if q]
-        if not live:
+    def pop_pair(self) -> tuple[RootedTree, int, int, int] | None:
+        """Pop ``(t, e, far, far_bits)`` from the queue with the fewest pending
+        pairs (ties on the bucket), best entry first.
+
+        A drained queue is deleted, so a lone queue is taken without a scan.
+        """
+        queues = self.queues
+        if len(queues) == 1:
+            bucket = next(iter(queues))
+        elif queues:
+            _, bucket = min((len(q), b) for b, q in queues.items())
+        else:
             return None
-        _, bucket = min(live)
-        entry = heappop(self.queues[bucket])
-        return entry[-1], entry[-2]
+        q = queues[bucket]
+        entry = heappop(q)
+        if not q:
+            del queues[bucket]
+        return entry[-3], entry[-4], entry[-2], entry[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +219,7 @@ def admissible_edges(
     """
     if state.max_edges is not None and len(t.key) >= state.max_edges:
         return
-    g, labels_ok, bits = state.graph, state.labels_ok, state.seeds.bits
+    g, labels_ok, bits = state.graph, state.labels_ok, state.seeds.node_bits.get
     for n in at:
         for e in g.incoming_edges(n) if incoming_only else g.adjacent_edges(n):
             edge = g.edges[e]
@@ -216,25 +228,24 @@ def admissible_edges(
             far = edge.source if edge.target == n else edge.target
             if far in t.nodes:
                 continue
-            far_bits = bits(far)
+            far_bits = bits(far, 0)
             if far_bits & t.covered:
                 continue
             yield e, far, far_bits
 
 
-def try_grow(state: RootedState, t: RootedTree, e: int) -> RootedTree | None:
-    """Extend ``t`` at its root with edge ``e``, which ``admissible_edges`` admitted.
+def try_grow(state: RootedState, t: RootedTree, e: int, far: int, far_bits: int) -> RootedTree | None:
+    """Extend ``t`` at its root with edge ``e`` to node ``far`` (seed bits
+    ``far_bits``), as ``admissible_edges`` admitted them.
 
     Returns None, and builds nothing, when deduplication prunes the grown
     tree. The far node's seed signature is updated either way.
     """
-    far = state.graph.other_endpoint(e, t.root)
-    far_bits = state.seeds.bits(far)
     key = tuple(sorted(t.key + (e,)))
     anchor = None if far_bits else t.path_anchor
     if anchor is not None:
         # a nonempty root-ended path from a single seed marks its root as reached
-        state.signatures[far] = state.signatures.get(far, 0) | state.seeds.bits(anchor)
+        state.signatures[far] = state.signatures.get(far, 0) | state.seeds.node_bits.get(anchor, 0)
     if not is_new(state, key, far, GROW):
         state.stats.trees_pruned += 1
         return None
@@ -278,7 +289,7 @@ def merge_partners(state: RootedState, t1: RootedTree) -> list[RootedTree]:
     list is a snapshot: merging records more trees at the root.
     """
     root, nodes = t1.root, t1.nodes
-    clash = t1.covered & ~state.seeds.bits(root)
+    clash = t1.covered & ~state.seeds.node_bits.get(root, 0)
     lists = [records for mask, records in state.by_root.get(root, {}).items() if not mask & clash]
     records = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
     return [t2 for _, t2 in records if t2.key and len(nodes & t2.nodes) == 1 and mergeable(state, t1, t2)]
@@ -363,8 +374,8 @@ def record_partner(state: RootedState, t: RootedTree) -> None:
 
 
 def _enqueue_grow_pairs(state: RootedState, t: RootedTree) -> None:
-    for e, _, _ in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
-        state.push_pair(t, e)
+    for e, far, far_bits in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
+        state.push_pair(t, e, far, far_bits)
 
 
 def process_tree(state: RootedState, t: RootedTree) -> str:
@@ -478,15 +489,32 @@ def _run_generations(state: SearchState) -> None:
     # per-search node bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
 
+    seed_nodes = seeds.seed_nodes()
+
     def report(t: _GenTree) -> None:
-        minimized = minimize(g, t.key, seeds)
-        nodes: set[int] = set()
-        for eid in minimized:
+        # A full-cover tree T with a leaf that is no seed is skipped, since
+        # M = minimize(T) is generated and reported on its own. The nodes of
+        # T have pairwise disjoint seed masks (the grow step and the merge
+        # filters enforce this), and M is a subtree of T whose leaves are all
+        # seeds. So growing from one seed leaf along M's edges passes
+        # admissible_edges at every step: M is no larger than T for MAX and
+        # LABEL, the far node is new, and its seed bits are not covered yet.
+        # No proper subtree of M covers every set (a missing seed leaf would
+        # repeat a set it covers), so no step of that growth stops early;
+        # memory keeps the first sighting of each step, and that sighting is
+        # grown in the next generation. Under a deadline bft_m and bft_am may
+        # miss M (the result is partial): a merge can build T in an earlier
+        # generation than M. bft cannot, since M is smaller and comes first.
+        degree: dict[int, int] = {}
+        for eid in t.key:
             e = g.edges[eid]
-            nodes.update((e.source, e.target))
-        if not minimized:
-            nodes = set(t.nodes) & seeds.seed_nodes()
-        _record_result(state, tuple(sorted(minimized)), nodes, min(nodes))
+            degree[e.source] = degree.get(e.source, 0) + 1
+            degree[e.target] = degree.get(e.target, 0) + 1
+        if any(d == 1 and n not in seed_nodes for n, d in degree.items()):
+            return
+        # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
+        minimize(g, t.key, seeds)
+        _record_result(state, t.key, t.nodes, min(t.nodes))
 
     def keep(t: _GenTree) -> bool:
         ident = t.identity()

@@ -41,17 +41,21 @@ class SeedSets:
         #: original indices of the non-universal sets, in order
         self.active: tuple[int, ...] = tuple(i for i, u in enumerate(self.universal) if not u)
         self.full_mask = (1 << len(self.active)) - 1
-        self._node_bits: dict[int, int] = {}
+        #: seed node -> mask of the non-universal sets holding it; hot loops
+        #: bind ``node_bits.get`` and read ``get(n, 0)`` instead of calling ``bits``
+        self.node_bits: dict[int, int] = {}
         for bit, orig in enumerate(self.active):
             for n in self.sets[orig]:
-                self._node_bits[n] = self._node_bits.get(n, 0) | (1 << bit)
+                self.node_bits[n] = self.node_bits.get(n, 0) | (1 << bit)
+        self._seed_nodes = frozenset(self.node_bits)
 
     def bits(self, node: int) -> int:
         """Mask of non-universal sets that contain ``node`` (0 for non-seeds)."""
-        return self._node_bits.get(node, 0)
+        return self.node_bits.get(node, 0)
 
     def seed_nodes(self) -> frozenset[int]:
-        return frozenset(self._node_bits)
+        """Every node of a non-universal set."""
+        return self._seed_nodes
 
     def sets_of_mask(self, mask: int) -> list[int]:
         """Original indices of the non-universal sets whose bits are set in ``mask``."""
@@ -60,8 +64,9 @@ class SeedSets:
     def chosen_seeds(self, nodes: Iterable[int]) -> dict[int, int]:
         """Map original set index -> the unique member node among ``nodes``."""
         chosen: dict[int, int] = {}
+        bits = self.node_bits.get
         for n in nodes:
-            mask = self.bits(n)
+            mask = bits(n, 0)
             if not mask:
                 continue
             for orig in self.sets_of_mask(mask):

@@ -34,7 +34,7 @@ from treeq.synth import gen_chain, gen_random_instance
 from treeq.trees import GROW, INIT, MERGE, REROOT, RootedTree, SeedSetError, SeedSets, classify_result, minimize
 
 from conftest import make_graph
-from oracles import brute_ctp, oracle_identities, post_filter_identities, result_identities
+from oracles import brute_ctp, oracle_identities, post_filter_identities, reaches_all, result_identities
 
 
 def _tree(key, root, nodes, covered, kind=GROW, gained=False):
@@ -43,6 +43,12 @@ def _tree(key, root, nodes, covered, kind=GROW, gained=False):
 
 def _root_edges(state, t):
     return [e for e, _, _ in admissible_edges(state, t, (t.root,))]
+
+
+def _grow(state, t, e):
+    """``try_grow`` on edge ``e`` at ``t``'s root, with the far node that ``admissible_edges`` yields."""
+    ((far, far_bits),) = [(f, b) for x, f, b in admissible_edges(state, t, (t.root,)) if x == e]
+    return try_grow(state, t, e, far, far_bits)
 
 
 def _pending_pairs(state):
@@ -109,7 +115,7 @@ def test_grow_b_with_adjacent_edge(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     init_b = _recorded(state, 4)[0]
-    grown = try_grow(state, init_b, 4)  # edge B -> "3"
+    grown = _grow(state, init_b, 4)  # edge B -> "3"
     assert grown is not None
     assert grown.key == (4,) and grown.root == 5
     assert grown.covered == init_b.covered
@@ -147,9 +153,9 @@ def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     g, seeds = path_abc
     grown_kinds = []
 
-    def spy(state, t, e):
+    def spy(state, t, *pair):
         grown_kinds.append(t.kind)
-        return try_grow(state, t, e)
+        return try_grow(state, t, *pair)
 
     monkeypatch.setattr(search, "try_grow", spy)
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
@@ -330,7 +336,7 @@ def test_reroot_copies_created_at_new_seeds(path_abc):
 def test_no_reroot_without_seed_gain(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    grown = try_grow(state, _recorded(state, 1)[0], 1)  # A-1, no new seed
+    grown = _grow(state, _recorded(state, 1)[0], 1)  # A-1, no new seed
     assert not grown.gained
     process_tree(state, grown)
     assert all(t.kind != REROOT for t in _recorded(state))
@@ -359,9 +365,9 @@ def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     init_a = _recorded(state, 1)[0]
-    assert process_tree(state, try_grow(state, init_a, 1)) == RECORDED  # A-1
+    assert process_tree(state, _grow(state, init_a, 1)) == RECORDED  # A-1
     pruned_before = state.stats.trees_pruned
-    assert try_grow(state, init_a, 1) is None
+    assert _grow(state, init_a, 1) is None
     assert state.stats.trees_pruned == pruned_before + 1
 
 
@@ -442,14 +448,53 @@ def test_results_are_minimal_without_minimization(six_seed_tree):
             assert minimize(g, rt.edges, seeds) == frozenset(rt.edges), algo
 
 
+def _filtered_oracle(g, edge_sets, singles, filters):
+    """The ``brute_ctp`` results that satisfy the tree-level filters ``UNI``, ``LABEL`` and ``MAX``."""
+    kept = {
+        es
+        for es in edge_sets
+        if (not filters.uni or reaches_all(g, es))
+        and (filters.labels is None or all(g.edges[e].label in filters.labels for e in es))
+        and (filters.max_edges is None or len(es) <= filters.max_edges)
+    }
+    return oracle_identities(kept, singles)
+
+
 def test_bft_agrees_with_subset_enumeration_oracle():
+    # so do the merging variants, and bft under each tree-level filter
+    runs = [("bft", CtpFilters()), ("bft_m", CtpFilters()), ("bft_am", CtpFilters())]
+    runs += [("bft", f) for f in (CtpFilters(uni=True), CtpFilters(labels=frozenset({"a"})), CtpFilters(max_edges=3))]
     rng = random.Random(4242)
     for _ in range(30):
         m = rng.choice([2, 2, 3])
         g, seeds = gen_random_instance(rng, max_nodes=7, max_edges=11, n_labels=2, m=m, max_set_size=2)
-        results, _ = run_search(g, seeds, SearchConfig(algorithm="bft"))
         edge_sets, singles = brute_ctp(g, seeds)
-        assert result_identities(results) == oracle_identities(edge_sets, singles)
+        for algo, filters in runs:
+            results, _ = run_search(g, seeds, SearchConfig(algorithm=algo, filters=filters))
+            assert result_identities(results) == _filtered_oracle(g, edge_sets, singles, filters), (algo, filters)
+
+
+@pytest.mark.parametrize("algorithm", ["bft", "bft_m"])
+def test_generation_search_minimizes_only_what_it_reports(monkeypatch, algorithm):
+    # a full-cover tree with a leaf that is no seed is skipped, not minimized:
+    # its minimization is generated and reported on its own
+    calls = []
+    monkeypatch.setattr(search, "minimize", lambda *a: calls.append(a) or minimize(*a))
+    built = []
+    gen_tree = search._GenTree
+    monkeypatch.setattr(search, "_GenTree", lambda *fields: built.append(gen_tree(*fields)) or built[-1])
+    rng = random.Random(3131)
+    reported = full_cover = 0
+    for _ in range(15):
+        g, seeds = gen_random_instance(rng, max_nodes=10, max_edges=15, n_labels=2, m=rng.choice([2, 3]))
+        calls.clear()
+        built.clear()
+        results, stats = run_search(g, seeds, SearchConfig(algorithm=algorithm))
+        assert len(calls) == len(results) == stats.results_found
+        reported += len(results)
+        full_cover += len({t.key for t in built if t.covered == seeds.full_mask})
+    # the instances do keep full-cover trees that are not minimal
+    assert full_cover > reported > 0
 
 
 def test_molesp_complete_on_random_m3_sample():
