@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph
@@ -464,9 +464,8 @@ class _GenTree(NamedTuple):
     nodes: frozenset[int]
     covered: int
     nbits: int  # one bit per node, numbered by when the search first reached it
-
-    def identity(self) -> tuple:
-        return self.key if self.key else ("node", min(self.nodes))
+    ebits: int  # one bit per edge, numbered the same way; the deduplication identity
+    loose: int  # the nbits of the leaves that are no seeds
 
 
 def _submasks(mask: int):
@@ -479,79 +478,87 @@ def _submasks(mask: int):
 
 
 def _run_generations(state: SearchState) -> None:
-    g, seeds, cfg = state.graph, state.seeds, state.cfg
+    g, seeds, cfg, stats = state.graph, state.seeds, state.cfg, state.stats
+    full_mask = seeds.full_mask
     merging = cfg.algorithm in ("bft_m", "bft_am")
     aggressive = cfg.algorithm == "bft_am"
-    memory: set = set()
-    # merge partners bucketed by (shared node, covered mask): only partners
-    # whose covered sets cannot collide outside the shared node are scanned
-    by_node_cov: dict[tuple[int, int], list[_GenTree]] = {}
-    # per-search node bits stay as wide as the reached part of the graph
+    # the edge sets seen so far; start trees have none and are all distinct
+    memory: set[int] = set()
+    # merge partners bucketed by (shared node, covered mask), then grouped by
+    # node set: only buckets whose covered sets cannot collide outside the
+    # shared node are reached, and only groups sharing that node alone are read
+    by_node_cov: dict[tuple[int, int], dict[int, list[tuple[int, _GenTree]]]] = {}
+    record_numbers = count()
+    # per-search node and edge bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
-
-    seed_nodes = seeds.seed_nodes()
+    ebit_of: dict[int, int] = {}
 
     def report(t: _GenTree) -> None:
-        # A full-cover tree T with a leaf that is no seed is skipped, since
-        # M = minimize(T) is generated and reported on its own. The nodes of
-        # T have pairwise disjoint seed masks (the grow step and the merge
-        # filters enforce this), and M is a subtree of T whose leaves are all
-        # seeds. So growing from one seed leaf along M's edges passes
-        # admissible_edges at every step: M is no larger than T for MAX and
-        # LABEL, the far node is new, and its seed bits are not covered yet.
-        # No proper subtree of M covers every set (a missing seed leaf would
-        # repeat a set it covers), so no step of that growth stops early;
-        # memory keeps the first sighting of each step, and that sighting is
-        # grown in the next generation. Under a deadline bft_m and bft_am may
-        # miss M (the result is partial): a merge can build T in an earlier
-        # generation than M. bft cannot, since M is smaller and comes first.
-        degree: dict[int, int] = {}
-        for eid in t.key:
-            e = g.edges[eid]
-            degree[e.source] = degree.get(e.source, 0) + 1
-            degree[e.target] = degree.get(e.target, 0) + 1
-        if any(d == 1 and n not in seed_nodes for n, d in degree.items()):
+        # A full-cover tree T with a leaf that is no seed (a bit in loose) is
+        # skipped, since M = minimize(T) is generated and reported on its own.
+        # The nodes of T have pairwise disjoint seed masks (the grow step and
+        # the merge filters enforce this), and M is a subtree of T whose
+        # leaves are all seeds. So growing from one seed leaf along M's edges
+        # passes admissible_edges at every step: M is no larger than T for MAX
+        # and LABEL, the far node is new, and its seed bits are not covered
+        # yet. No proper subtree of M covers every set (a missing seed leaf
+        # would repeat a set it covers), so no step of that growth stops
+        # early; memory keeps the first sighting of each step, and that
+        # sighting is grown in the next generation. Under a deadline bft_m and
+        # bft_am may miss M (the result is partial): a merge can build T in an
+        # earlier generation than M. bft cannot, since M is smaller and comes
+        # first.
+        if t.loose:
             return
         # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
         minimize(g, t.key, seeds)
         _record_result(state, t.key, t.nodes, min(t.nodes))
 
     def keep(t: _GenTree) -> bool:
-        ident = t.identity()
-        if ident in memory:
-            state.stats.trees_pruned += 1
-            return False
-        memory.add(ident)
-        state.stats.provenances_built += 1
-        if t.covered == seeds.full_mask:
+        """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
+        stats.provenances_built += 1
+        if t.covered == full_mask:
             report(t)
             return False
         return True
 
     def index(t: _GenTree) -> None:
+        entry = (next(record_numbers), t)
         for n in t.nodes:
-            by_node_cov.setdefault((n, t.covered), []).append(t)
+            by_node_cov.setdefault((n, t.covered), {}).setdefault(t.nbits, []).append(entry)
 
     def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
-            cur_nbits = cur.nbits
+            cur_nbits, cur_ebits = cur.nbits, cur.ebits
             for n in sorted(cur.nodes):
                 n_bit = bit_of[n]
-                allowed = seeds.full_mask & ~(cur.covered & ~seeds.bits(n))
+                allowed = full_mask & ~(cur.covered & ~seeds.bits(n))
                 for mask in _submasks(allowed):
-                    for partner in list(by_node_cov.get((n, mask), ())):
-                        if (
-                            not partner.key
-                            or partner.nbits & cur_nbits != n_bit  # shares more nodes than n
-                            or not mergeable(state, cur, partner)
-                        ):
+                    groups = by_node_cov.get((n, mask))
+                    if groups is None:
+                        continue
+                    # the trees of one node set have as many edges, so one of them stands for all
+                    lists = [
+                        records
+                        for nbits, records in groups.items()
+                        if nbits & cur_nbits == n_bit and mergeable(state, cur, records[0][1])
+                    ]
+                    if not lists:
+                        continue
+                    for _, partner in list(lists[0]) if len(lists) == 1 else sorted(chain.from_iterable(lists)):
+                        ebits = cur_ebits | partner.ebits
+                        if ebits in memory:
+                            stats.trees_pruned += 1
                             continue
+                        memory.add(ebits)
                         merged = _GenTree(
                             tuple(sorted(cur.key + partner.key)),
                             cur.nodes | partner.nodes,
                             cur.covered | partner.covered,
-                            cur.nbits | partner.nbits,
+                            cur_nbits | partner.nbits,
+                            ebits,
+                            (cur.loose | partner.loose) & ~n_bit,  # n has an edge on both sides
                         )
                         if keep(merged):
                             generation.append(merged)
@@ -561,25 +568,39 @@ def _run_generations(state: SearchState) -> None:
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = _GenTree((), frozenset((s,)), seeds.bits(s), bit_of.setdefault(s, 1 << len(bit_of)))
+        t = _GenTree((), frozenset((s,)), seeds.bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0)
         if keep(t):
             current.append(t)
 
+    edges = g.edges
     while current:
         nxt: list[_GenTree] = []
         for t in current:
             if state.deadline_passed():
-                state.stats.timed_out = True
+                stats.timed_out = True
                 return
             for e, far, far_bits in admissible_edges(state, t, sorted(t.nodes)):
+                ebits = t.ebits | ebit_of.setdefault(e, 1 << len(ebit_of))
+                if ebits in memory:
+                    stats.trees_pruned += 1
+                    continue
+                memory.add(ebits)
                 far_bit = bit_of.setdefault(far, 1 << len(bit_of))
+                edge = edges[e]
+                # the near end stops being a leaf; a start tree's only node is a seed
+                loose = t.loose & ~bit_of[edge.source if edge.target == far else edge.target]
                 grown = _GenTree(
-                    tuple(sorted(t.key + (e,))), t.nodes | {far}, t.covered | far_bits, t.nbits | far_bit
+                    tuple(sorted(t.key + (e,))),
+                    t.nodes | {far},
+                    t.covered | far_bits,
+                    t.nbits | far_bit,
+                    ebits,
+                    loose if far_bits else loose | far_bit,
                 )
                 if keep(grown):
                     nxt.append(grown)
-                    index(grown)
                     if merging:
+                        index(grown)
                         merge_round(grown, nxt)
         current = nxt
 

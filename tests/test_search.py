@@ -474,7 +474,7 @@ def test_bft_agrees_with_subset_enumeration_oracle():
             assert result_identities(results) == _filtered_oracle(g, edge_sets, singles, filters), (algo, filters)
 
 
-@pytest.mark.parametrize("algorithm", ["bft", "bft_m"])
+@pytest.mark.parametrize("algorithm", ["bft", "bft_m", "bft_am"])
 def test_generation_search_minimizes_only_what_it_reports(monkeypatch, algorithm):
     # a full-cover tree with a leaf that is no seed is skipped, not minimized:
     # its minimization is generated and reported on its own
@@ -705,7 +705,8 @@ def test_merging_variants_stay_complete():
 
 def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
     # merge partners are chosen on per-search node bitsets: node ids of 10**12
-    # and more must neither change an outcome nor widen the bitsets
+    # and more must neither change an outcome nor widen the bitsets; every
+    # built tree carries one bit per edge and the bits of its non-seed leaves
     built = []
     gen_tree = search._GenTree
     monkeypatch.setattr(search, "_GenTree", lambda *fields: built.append(gen_tree(*fields)) or built[-1])
@@ -731,5 +732,17 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
             ]
             assert relabelled == [(rt.edges, rt.nodes, rt.seed_tuple, rt.root) for rt in expected]
             reached = len(frozenset().union(*(t.nodes for t in built)))
+            bit = {}  # node -> its bit: a tree is built after the trees it grows or merges from
             for t in built:
                 assert t.nbits.bit_count() == len(t.nodes) and t.nbits.bit_length() <= reached
+                assert t.ebits.bit_count() == len(t.key)
+                unknown = [n for n in t.nodes if n not in bit]
+                assert len(unknown) <= 1
+                if unknown:
+                    bit[unknown[0]] = t.nbits & ~sum(bit[n] for n in t.nodes if n in bit)
+                degree = dict.fromkeys(t.nodes, 0)
+                for eid in t.key:
+                    degree[big.edges[eid].source] += 1
+                    degree[big.edges[eid].target] += 1
+                leaves = [n for n, d in degree.items() if d == 1 and not big_seeds.bits(n)]
+                assert t.loose == sum(bit[n] for n in leaves)

@@ -191,6 +191,8 @@ EXTRA_PINNED = {
     ("m456_70", "molesp"): (987, 606, 378, 69, "f49702cb10ce57ee"),
     ("m456_80", "moesp"): (415, 332, 154, 10, "695cb635f102a85e"),
     ("m456_80", "molesp"): (415, 332, 154, 10, "695cb635f102a85e"),
+    ("m456_6", "bft_m"): (5283, 11824, 0, 164, "2cd92d0252e183c0"),
+    ("m456_79", "bft_m"): (1511, 4387, 0, 52, "ae0c84f8e4f60650"),
     ("m3_53", "bft_m"): (17690, 71505, 0, 67, "47426fd4cd1b439b"),
 }
 
