@@ -92,30 +92,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if result.partial else EXIT_OK
 
 
-_FAMILY_PARAMS = {
-    "chain": ("N",),
-    "line": ("m", "nL"),
-    "comb": ("nA", "nS", "sL", "dBA"),
-    "star": ("m", "sL"),
-    "cdf": ("m", "NT", "NL", "SL"),
+# family -> (generator, its options in argument order); only --seed has a default
+_FAMILIES = {
+    "chain": (gen_chain, ("N",)),
+    "line": (gen_line, ("m", "nL")),
+    "comb": (gen_comb, ("nA", "nS", "sL", "dBA")),
+    "star": (gen_star, ("m", "sL")),
+    "cdf": (gen_cdf, ("m", "NT", "NL", "SL", "seed")),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
-    missing = [p for p in _FAMILY_PARAMS[family] if getattr(args, p) is None]
+    generator, params = _FAMILIES[family]
+    missing = [p for p in params if getattr(args, p) is None]
     if missing:
         raise GenError(f"{family} needs {', '.join('--' + p for p in missing)}")
-    if family == "chain":
-        w = gen_chain(args.N)
-    elif family == "line":
-        w = gen_line(args.m, args.nL)
-    elif family == "comb":
-        w = gen_comb(args.nA, args.nS, args.sL, args.dBA)
-    elif family == "star":
-        w = gen_star(args.m, args.sL)
-    else:
-        w = gen_cdf(args.m, args.NT, args.NL, args.SL, args.seed)
+    w = generator(*(getattr(args, p) for p in params))
     write_workload(w, args.out)
     print(f"wrote {family} workload to {args.out}: {w.graph.num_nodes} nodes, {w.graph.num_edges} edges")
     return EXIT_OK
@@ -268,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="generate a benchmark workload")
-    p_gen.add_argument("--family", required=True, choices=("chain", "line", "comb", "star", "cdf"))
+    p_gen.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p_gen.add_argument("--N", type=int)
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--nL", type=int)

@@ -9,14 +9,23 @@ filters (UNI, LABEL, MAX, SCORE, TOP, TIMEOUT) after the closing parenthesis.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Any, Callable, NamedTuple
 
 from .graph import Graph
 
 PROPERTIES = ("label", "type", "id")
 OPERATORS = ("=", "<", "<=", "~")
-FILTER_KEYWORDS = ("UNI", "LABEL", "MAX", "SCORE", "TOP", "TIMEOUT")
+# filter keyword -> CtpFilters field, in printing order
+FILTER_KEYWORDS = {
+    "UNI": "uni",
+    "LABEL": "labels",
+    "MAX": "max_edges",
+    "SCORE": "score",
+    "TOP": "top_k",
+    "TIMEOUT": "timeout_ms",
+}
 
 
 class QuerySyntaxError(ValueError):
@@ -147,57 +156,47 @@ def satisfies(pred: Predicate, g: Graph, elem_id: int, elem_kind: str = "node") 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# leading whitespace is skipped; the last two alternatives never fail to match
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<string>"[^"\n]*")
+    r"""\s*(?:
+        (?P<string>"[^"\n]*")
       | (?P<int>\d+)
       | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<implies>:-)
-      | (?P<le><=)
-      | (?P<punct>[()\[\],;=<~])
-    """,
+      | (?P<sym>:-|<=|[()\[\],;=<~])
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # string | int | var | ident | sym | end
     value: str | int
-    line: int
-    col: int
+    pos: int  # offset into the query text
+
+
+def _syntax_error(text: str, pos: int, message: str) -> QuerySyntaxError:
+    return QuerySyntaxError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind == "ws":
-            for i, ch in enumerate(raw):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        elif kind == "string":
-            tokens.append(_Token("string", raw[1:-1], line, col))
-        elif kind == "int":
-            tokens.append(_Token("int", int(raw), line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup or ""
+        value: str | int = m[kind]
+        if kind == "bad":
+            raise _syntax_error(text, m.start(kind), f"unexpected character {value!r}")
+        if kind == "string":
+            value = value[1:-1]
         elif kind == "var":
-            tokens.append(_Token("var", raw[1:], line, col))
-        elif kind == "ident":
-            tokens.append(_Token("ident", raw, line, col))
-        else:  # implies, le, punct
-            tokens.append(_Token("sym", raw, line, col))
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
+            value = value[1:]
+        elif kind == "int":
+            value = int(value)
+        tokens.append(_Token(kind, value, m.start(kind)))
+        if kind == "end":
+            break
     return tokens
 
 
@@ -207,6 +206,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self._text = text
         self._tokens = _tokenize(text)
         self._pos = 0
         self._fresh = 0
@@ -222,18 +222,32 @@ class _Parser:
         return tok
 
     def _error(self, message: str, tok: _Token | None = None) -> QuerySyntaxError:
-        tok = tok or self._peek()
-        return QuerySyntaxError(message, tok.line, tok.col)
+        return _syntax_error(self._text, (tok or self._peek()).pos, message)
 
-    def _expect_sym(self, sym: str) -> _Token:
+    def _expect(self, kind: str, message: str) -> Any:
         tok = self._next()
-        if tok.kind != "sym" or tok.value != sym:
-            raise self._error(f"expected {sym!r}, got {tok.value!r}", tok)
-        return tok
+        if tok.kind != kind:
+            raise self._error(message, tok)
+        return tok.value
 
-    def _at_sym(self, sym: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "sym" and tok.value == sym
+    def _expect_sym(self, sym: str) -> None:
+        if not self._accept(sym):
+            raise self._error(f"expected {sym!r}, got {self._peek().value!r}")
+
+    def _accept(self, value: str, kind: str = "sym") -> bool:
+        tok = self._tokens[self._pos]
+        if tok.kind == kind and tok.value == value:
+            self._pos += 1
+            return True
+        return False
+
+    def _list(self, item: Callable[[], Any], sep: str, close: str) -> list:
+        """``item (sep item)* close``, after the opening symbol."""
+        items = [item()]
+        while self._accept(sep):
+            items.append(item())
+        self._expect_sym(close)
+        return items
 
     def _fresh_var(self) -> str:
         # no variable token contains "#", so a shorthand never captures a user variable
@@ -244,147 +258,82 @@ class _Parser:
 
     # grammar entry -----------------------------------------------------
     def parse(self) -> QueryAst:
-        head = self._parse_head()
+        self._expect_sym("(")
+        head = self._list(lambda: self._expect("var", "expected head variable"), ",", ")")
         self._expect_sym(":-")
-        bgps: list[Bgp] = []
-        ctps: list[Ctp] = []
-        while True:
-            item = self._parse_item()
-            if isinstance(item, Ctp):
-                ctps.append(item)
-            else:
-                bgps.append(Bgp((item,)))
-            if self._at_sym(","):
-                self._next()
-                continue
-            break
+        items = [self._parse_item()]
+        while self._accept(","):
+            items.append(self._parse_item())
         tok = self._peek()
         if tok.kind != "end":
             raise self._error(f"unexpected trailing input {tok.value!r}", tok)
-        return QueryAst(tuple(head), tuple(bgps), tuple(ctps), frozenset(self.synthetic))
-
-    def _parse_head(self) -> list[str]:
-        self._expect_sym("(")
-        head: list[str] = []
-        while True:
-            tok = self._next()
-            if tok.kind != "var":
-                raise self._error("expected head variable", tok)
-            head.append(str(tok.value))
-            if self._at_sym(","):
-                self._next()
-                continue
-            self._expect_sym(")")
-            return head
+        bgps = tuple(Bgp((item,)) for item in items if isinstance(item, EdgePattern))
+        ctps = tuple(item for item in items if isinstance(item, Ctp))
+        return QueryAst(tuple(head), bgps, ctps, frozenset(self.synthetic))
 
     def _parse_item(self) -> EdgePattern | Ctp:
         self._expect_sym("(")
         terms: list[Predicate] = []
-        tree_var: str | None = None
         while True:
-            tok = self._peek()
-            if tok.kind == "ident" and tok.value == "TREE":
-                self._next()
-                var_tok = self._next()
-                if var_tok.kind != "var":
-                    raise self._error("expected tree variable after TREE", var_tok)
-                tree_var = str(var_tok.value)
+            if self._accept("TREE", "ident"):
+                tree_var = self._expect("var", "expected tree variable after TREE")
+                self._expect_sym(")")
+                if not terms:
+                    raise self._error("tree pattern needs at least one member")
+                return Ctp(tuple(terms), tree_var, self._parse_filters())
+            terms.append(self._parse_term())
+            if not self._accept(","):
                 self._expect_sym(")")
                 break
-            terms.append(self._parse_term())
-            if self._at_sym(","):
-                self._next()
-                continue
-            self._expect_sym(")")
-            break
-        if tree_var is not None:
-            if not terms:
-                raise self._error("tree pattern needs at least one member")
-            return Ctp(tuple(terms), tree_var, self._parse_filters())
         if len(terms) != 3:
             raise self._error(f"edge pattern must have exactly 3 terms, got {len(terms)}")
         tok = self._peek()
         if tok.kind == "ident" and tok.value in FILTER_KEYWORDS:
             raise self._error(f"filter {tok.value} only allowed after a tree pattern", tok)
-        return EdgePattern(terms[0], terms[1], terms[2])
+        return EdgePattern(*terms)
 
     def _parse_term(self) -> Predicate:
         tok = self._next()
         if tok.kind == "string":
             # label shorthand: the constant denotes a fresh-variable predicate
-            return Predicate(self._fresh_var(), (Condition("label", "=", str(tok.value)),))
-        if tok.kind == "var":
-            var = str(tok.value)
-            if self._at_sym("["):
-                self._next()
-                conds = [self._parse_condition()]
-                while self._at_sym(";"):
-                    self._next()
-                    conds.append(self._parse_condition())
-                self._expect_sym("]")
-                return Predicate(var, tuple(conds))
-            return Predicate(var)
-        raise self._error("expected variable, string constant, or TREE", tok)
+            return Predicate(self._fresh_var(), (Condition("label", "=", tok.value),))
+        if tok.kind != "var":
+            raise self._error("expected variable, string constant, or TREE", tok)
+        if self._accept("["):
+            return Predicate(str(tok.value), tuple(self._list(self._parse_condition, ";", "]")))
+        return Predicate(str(tok.value))
 
     def _parse_condition(self) -> Condition:
-        tok = self._next()
-        if tok.kind != "ident" or tok.value not in PROPERTIES:
-            raise self._error(f"unknown property {tok.value!r}", tok)
-        prop = str(tok.value)
-        op_tok = self._next()
-        if op_tok.kind != "sym" or op_tok.value not in OPERATORS:
-            raise self._error(f"unknown operator {op_tok.value!r}", op_tok)
-        val_tok = self._next()
-        if val_tok.kind == "string":
-            value: str | int = str(val_tok.value)
-        elif val_tok.kind == "int":
-            value = int(val_tok.value)
-        else:
-            raise self._error("expected string or integer constant", val_tok)
-        return Condition(prop, str(op_tok.value), value)
+        prop = self._next()
+        if prop.kind != "ident" or prop.value not in PROPERTIES:
+            raise self._error(f"unknown property {prop.value!r}", prop)
+        op = self._next()
+        if op.kind != "sym" or op.value not in OPERATORS:
+            raise self._error(f"unknown operator {op.value!r}", op)
+        const = self._next()
+        if const.kind not in ("string", "int"):
+            raise self._error("expected string or integer constant", const)
+        return Condition(str(prop.value), str(op.value), const.value)
 
     def _parse_filters(self) -> CtpFilters:
-        filters = CtpFilters()
-        while True:
-            tok = self._peek()
-            if tok.kind != "ident":
-                return filters
+        values: dict[str, Any] = {}
+        while self._peek().kind == "ident":
+            tok = self._next()
             keyword = str(tok.value)
-            if keyword not in FILTER_KEYWORDS:
-                raise self._error(f"unknown filter keyword {keyword!r}", tok)
-            self._next()
             if keyword == "UNI":
-                filters = replace(filters, uni=True)
+                value: Any = True
             elif keyword == "LABEL":
                 self._expect_sym("(")
-                labels = []
-                while True:
-                    s = self._next()
-                    if s.kind != "string":
-                        raise self._error("expected string label", s)
-                    labels.append(str(s.value))
-                    if self._at_sym(","):
-                        self._next()
-                        continue
-                    self._expect_sym(")")
-                    break
-                filters = replace(filters, labels=frozenset(labels))
+                labels = self._list(lambda: self._expect("string", "expected string label"), ",", ")")
+                value = frozenset(labels)
+            elif keyword == "SCORE":
+                value = self._expect("ident", "expected score function name")
+            elif keyword in FILTER_KEYWORDS:
+                value = self._expect("int", f"expected integer after {keyword}")
             else:
-                arg = self._next()
-                if keyword == "SCORE":
-                    if arg.kind != "ident":
-                        raise self._error("expected score function name", arg)
-                    filters = replace(filters, score=str(arg.value))
-                else:
-                    if arg.kind != "int":
-                        raise self._error(f"expected integer after {keyword}", arg)
-                    value = int(arg.value)
-                    if keyword == "MAX":
-                        filters = replace(filters, max_edges=value)
-                    elif keyword == "TOP":
-                        filters = replace(filters, top_k=value)
-                    else:
-                        filters = replace(filters, timeout_ms=value)
+                raise self._error(f"unknown filter keyword {keyword!r}", tok)
+            values[FILTER_KEYWORDS[keyword]] = value  # a repeated keyword: the last one wins
+        return CtpFilters(**values)
 
 
 def parse_query(text: str) -> QueryAst:
@@ -417,20 +366,18 @@ def _format_predicate(pred: Predicate, synthetic: frozenset[str] = frozenset()) 
 
 
 def _format_filters(f: CtpFilters) -> str:
-    parts = []
-    if f.uni:
-        parts.append("UNI")
-    if f.labels is not None:
-        parts.append("LABEL(" + ", ".join(f'"{l}"' for l in sorted(f.labels)) + ")")
-    if f.max_edges is not None:
-        parts.append(f"MAX {f.max_edges}")
-    if f.score is not None:
-        parts.append(f"SCORE {f.score}")
-    if f.top_k is not None:
-        parts.append(f"TOP {f.top_k}")
-    if f.timeout_ms is not None:
-        parts.append(f"TIMEOUT {f.timeout_ms}")
-    return ("" if not parts else " ") + " ".join(parts)
+    out = ""
+    for keyword, name in FILTER_KEYWORDS.items():
+        value = getattr(f, name)
+        if value is None or value is False:
+            continue
+        if keyword == "UNI":
+            out += " UNI"
+        elif keyword == "LABEL":
+            out += " LABEL(" + ", ".join(f'"{l}"' for l in sorted(value)) + ")"
+        else:
+            out += f" {keyword} {value}"
+    return out
 
 
 def format_query(ast: QueryAst) -> str:
@@ -475,27 +422,16 @@ def _check_condition_types(pred: Predicate, where: str) -> None:
 
 
 def _connected_components(patterns: list[EdgePattern]) -> list[list[int]]:
-    parent = list(range(len(patterns)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[str, int] = {}
+    """Pattern indices grouped by shared variables, each group and the groups in index order."""
+    groups: list[tuple[set[str], list[int]]] = []
     for i, pat in enumerate(patterns):
-        for pred in pat.predicates:
-            if pred.var in by_var:
-                ra, rb = find(by_var[pred.var]), find(i)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_var[pred.var] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(len(patterns)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda idxs: idxs[0])
+        names, members = {pat.source.var, pat.edge.var, pat.target.var}, [i]
+        for group in [g for g in groups if not names.isdisjoint(g[0])]:
+            groups.remove(group)
+            names |= group[0]
+            members += group[1]
+        groups.append((names, sorted(members)))
+    return sorted((members for _, members in groups), key=lambda idxs: idxs[0])
 
 
 def validate_query(ast: QueryAst) -> ValidatedQuery:

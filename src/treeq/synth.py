@@ -57,10 +57,13 @@ class _Builder:
         self._edges.append(Edge(eid, source, target, label))
         return eid
 
-    def path(self, start: int, label: str, length: int) -> int:
-        """Chain ``length`` fresh nodes after ``start`` along ``label`` edges; return the last."""
-        for _ in range(length):
-            nxt = self.node()
+    def path(self, start: int, label: str, length: int, last: str | None = None) -> int:
+        """Chain ``length`` fresh nodes after ``start`` along ``label`` edges; return the last.
+
+        ``last``, when given, labels the last node in place of its id.
+        """
+        for i in range(length):
+            nxt = self.node(last if i == length - 1 else None)
             self.edge(start, label, nxt)
             start = nxt
         return start
@@ -93,15 +96,9 @@ def gen_line(m: int, nl: int) -> Workload:
     if m < 2 or nl < 0:
         raise GenError("line needs m >= 2 and nl >= 0")
     b = _Builder()
-    seeds = []
-    prev = b.node(_seed_label(0))
-    seeds.append(prev)
+    seeds = [b.node(_seed_label(0))]
     for k in range(1, m):
-        prev = b.path(prev, "e", nl)
-        nxt = b.node(_seed_label(k))
-        b.edge(prev, "e", nxt)
-        prev = nxt
-        seeds.append(prev)
+        seeds.append(b.path(seeds[-1], "e", nl + 1, _seed_label(k)))
     return Workload(
         family="line",
         parameters={"m": m, "nL": nl},
@@ -123,23 +120,14 @@ def gen_comb(na: int, ns: int, sl: int, dba: int) -> Workload:
         raise GenError("comb needs all parameters >= 1")
     b = _Builder()
     label = iter(range(na * (ns + 1)))
-    spine = []
-    prev = b.node(_seed_label(next(label)))
-    spine.append(prev)
+    spine = [b.node(_seed_label(next(label)))]
     for _ in range(na - 1):
-        prev = b.path(prev, "e", dba)
-        nxt = b.node(_seed_label(next(label)))
-        b.edge(prev, "e", nxt)
-        prev = nxt
-        spine.append(prev)
+        spine.append(b.path(spine[-1], "e", dba + 1, _seed_label(next(label))))
     seeds = list(spine)
     for anchor in spine:
         prev = anchor
         for _ in range(ns):
-            prev = b.path(prev, "e", sl - 1)
-            nxt = b.node(_seed_label(next(label)))
-            b.edge(prev, "e", nxt)
-            prev = nxt
+            prev = b.path(prev, "e", sl, _seed_label(next(label)))
             seeds.append(prev)
     return Workload(
         family="comb",
@@ -157,12 +145,7 @@ def gen_star(m: int, sl: int) -> Workload:
         raise GenError("star needs m >= 2 and sl >= 1")
     b = _Builder()
     center = b.node()
-    seeds = []
-    for k in range(m):
-        prev = b.path(center, "e", sl - 1)
-        nxt = b.node(_seed_label(k))
-        b.edge(prev, "e", nxt)
-        seeds.append(nxt)
+    seeds = [b.path(center, "e", sl, _seed_label(k)) for k in range(m)]
     return Workload(
         family="star",
         parameters={"m": m, "sL": sl},

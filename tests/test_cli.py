@@ -400,3 +400,18 @@ def test_gen_missing_parameters_reported(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert "--m" in captured.err and "--nL" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "line", "--m", "3"], "line needs --nL"),
+        (["--family", "cdf", "--m", "2"], "cdf needs --NT, --NL, --SL"),
+    ],
+    ids=["line", "cdf"],
+)
+def test_gen_names_only_the_missing_parameters(tmp_path, capsys, argv, message):
+    code = main(["gen", *argv, "--out", str(tmp_path / "x")])
+    assert code == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

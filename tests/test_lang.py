@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,25 @@ def test_parse_errors_carry_position():
         parse_query("(?a) :- (?a, ?b, ?c) UNI")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(?x) :-\n  (?a, &, ?b)", "2:8: unexpected character '&'"),
+        ("(?x) :-\n\n   (?a, ?b)", "3:12: edge pattern must have exactly 3 terms, got 2"),
+        ("(?x) :- (?a, ?b, ?c),\n", "2:1: expected '(', got ''"),
+        ("   \n  ", "2:3: expected '(', got ''"),
+        ("(?x)\r\n:- (?a, ?b, ?c) MAX 3", "2:17: filter MAX only allowed after a tree pattern"),
+        ("(?x) :-\t(?a, ?b, TREE ?w)\n MAX x", "2:6: expected integer after MAX"),
+        ('(?x) :- (?a, "abc, ?b)', "1:14: unexpected character '\"'"),
+    ],
+)
+def test_parse_error_positions_on_multi_line_input(text, message):
+    with pytest.raises(QuerySyntaxError) as exc:
+        parse_query(text)
+    assert str(exc.value) == message
+    assert f"{exc.value.line}:{exc.value.col}: " == message[: message.index(" ") + 1]
+
+
 def test_parse_filters():
     ast = parse_query(
         '(?w) :- (?a, ?b, TREE ?w) UNI LABEL("x", "y") MAX 3 SCORE edgecount TOP 2 TIMEOUT 50'
@@ -245,8 +265,14 @@ def test_validation_yields_exactly_one_primary_error():
 # printing
 
 
-def _random_ast(rng: random.Random) -> QueryAst:
+def _random_ast(rng: random.Random, wide: bool = False) -> QueryAst:
+    """A random valid query; ``wide`` adds label shorthands, LABEL sets of 1-3 labels and TOP."""
+    synthetic = set()
+
     def predicate(name: str) -> Predicate:
+        if wide and rng.random() < 0.2:
+            synthetic.add(name)
+            return Predicate(name, (Condition("label", "=", rng.choice(["a", "b*", "c"])),))
         conds = []
         for _ in range(rng.randint(0, 2)):
             prop = rng.choice(["label", "type", "id"])
@@ -266,30 +292,41 @@ def _random_ast(rng: random.Random) -> QueryAst:
     ctps = []
     for _ in range(rng.randint(0, 2)):
         members = tuple(predicate(next(names)) for _ in range(rng.randint(1, 3)))
-        filters = CtpFilters(
-            uni=rng.random() < 0.3,
-            labels=frozenset({"a", "b"}) if rng.random() < 0.3 else None,
-            max_edges=rng.randint(1, 5) if rng.random() < 0.3 else None,
-            score="edgecount" if rng.random() < 0.3 else None,
-            timeout_ms=100 if rng.random() < 0.2 else None,
-        )
+        uni = rng.random() < 0.3
+        labels = None
+        if rng.random() < 0.3:
+            labels = frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 3)) if wide else {"a", "b"})
+        max_edges = rng.randint(1, 5) if rng.random() < 0.3 else None
+        score = "edgecount" if rng.random() < 0.3 else None
+        timeout_ms = 100 if rng.random() < 0.2 else None
+        top_k = rng.randint(1, 3) if wide and score and rng.random() < 0.5 else None
+        filters = CtpFilters(uni, labels, max_edges, score, top_k, timeout_ms)
         ctps.append(Ctp(members, next(names), filters))
     if not bgps and not ctps:
         bgps = (Bgp((EdgePattern(predicate(next(names)), predicate(next(names)), predicate(next(names))),)),)
     body_vars = [p.var for b in bgps for pat in b.patterns for p in pat.predicates]
     body_vars += [m.var for c in ctps for m in c.members] + [c.tree_var for c in ctps]
+    body_vars = [v for v in body_vars if v not in synthetic]
     head = tuple(rng.sample(body_vars, rng.randint(1, min(3, len(body_vars)))))
-    return QueryAst(head, bgps, tuple(ctps))
+    return QueryAst(head, bgps, tuple(ctps), frozenset(synthetic))
+
+
+def _respace(text: str, rng: random.Random) -> str:
+    """``text`` with every space, and a gap after each '(', made random whitespace."""
+    return re.sub(r" |(?<=\()", lambda _: rng.choice([" ", "\n", "\t", "\r\n", " \n\t "]), text)
 
 
 def test_parse_print_parse_fixpoint_on_generated_queries():
-    rng = random.Random(42)
-    for _ in range(60):
-        ast = _random_ast(rng)
-        text = format_query(ast)
-        first = parse_query(text)
-        again = parse_query(format_query(first))
-        assert again == first
+    for wide in (False, True):
+        rng = random.Random(42)
+        for _ in range(60):
+            ast = _random_ast(rng, wide)
+            text = format_query(ast)
+            first = parse_query(text)
+            again = parse_query(format_query(first))
+            assert again == first
+            if wide:
+                assert parse_query(_respace(text, rng)) == first
 
 
 def test_q1_print_parse_fixpoint():
