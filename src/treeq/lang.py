@@ -156,7 +156,7 @@ def satisfies(pred: Predicate, g: Graph, elem_id: int, elem_kind: str = "node") 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# leading whitespace is skipped; the last two alternatives never fail to match
+# leading ASCII whitespace is skipped; the last two alternatives never fail to match
 _TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<string>"[^"\n]*")
@@ -167,7 +167,7 @@ _TOKEN_RE = re.compile(
       | (?P<end>\Z)
       | (?P<bad>.)
     )""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 

@@ -124,6 +124,8 @@ class SearchState:
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
         if not seeds.active:
             raise SeedSetError("all seed sets are universal")
+        if cfg.filters.top_k is not None and cfg.filters.score is None:
+            raise ValueError("TOP requires SCORE")
         if cfg.filters.score is not None and cfg.filters.score not in _SCORES:
             raise ValueError(f"unknown score function {cfg.filters.score!r}")
         self.graph = g
@@ -138,7 +140,8 @@ class SearchState:
         self.deadline: float | None = (
             time.monotonic() + f.timeout_ms / 1000.0 if f.timeout_ms is not None else None
         )
-        self.results: dict[tuple, ResultTree] = {}
+        #: the ascending (edges, nodes) of every tree that covers all seed sets
+        self.results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def deadline_passed(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -323,21 +326,9 @@ def is_new(state: RootedState, key: tuple[int, ...], root: int, kind: str) -> bo
     )
 
 
-def _record_result(state: SearchState, edges: tuple[int, ...], nodes: Iterable[int], rep: int) -> None:
-    """Report a tree covering every seed set, once per identity.
-
-    ``edges`` is ascending; ``rep`` is the tree's root and stands in for
-    every universal seed set in the seed tuple.
-    """
-    seeds = state.seeds
-    nodes = tuple(sorted(nodes))
-    chosen = seeds.chosen_seeds(nodes)
-    seed_tuple = tuple(chosen[i] if not seeds.universal[i] else rep for i in range(seeds.m))
-    rt = ResultTree(edges, nodes, seed_tuple, rep)
-    ident = rt.identity()
-    if ident not in state.results:
-        state.results[ident] = rt
-        state.stats.results_found += 1
+def _record_result(state: SearchState, edges: tuple[int, ...], nodes: frozenset[int]) -> None:
+    """File a tree covering every seed set (``edges`` ascending); ``run_search`` builds the results."""
+    state.results.add((edges, tuple(sorted(nodes))))
 
 
 def record_for_merging(state: RootedState, t: RootedTree) -> None:
@@ -383,7 +374,7 @@ def process_tree(state: RootedState, t: RootedTree) -> str:
     state.stats.provenances_built += 1
     state.hist.add(t.key if state.edge_set_pruned else (t.key, t.root))
     if is_result(t, state.seeds):
-        _record_result(state, t.key, t.nodes, t.root)
+        _record_result(state, t.key, t.nodes)
         return RESULT
     record_for_merging(state, t)
     if t.kind != REROOT:
@@ -512,7 +503,7 @@ def _run_generations(state: SearchState) -> None:
             return
         # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
         minimize(g, t.key, seeds)
-        _record_result(state, t.key, t.nodes, min(t.nodes))
+        _record_result(state, t.key, t.nodes)
 
     def keep(t: _GenTree) -> bool:
         """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
@@ -614,29 +605,30 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
 
     Returns the deduplicated results in canonical order (scored and top-k
     restricted when the filters ask for it) together with the run counters.
-    A timeout is a normal outcome flagged in ``stats.timed_out``.
+    A result's root, whichever driver found it, reaches every other node
+    under UNI and is its smallest node otherwise; it fills every universal
+    seed-set cell. A timeout is a normal outcome flagged in ``stats.timed_out``.
     """
     if cfg.algorithm in GENERATION_ALGORITHMS:
         state = SearchState(g, seeds, cfg)
         _run_generations(state)
-        results = list(state.results.values())
-        if state.uni:
-            # generation trees grow from any node in any direction, so the
-            # directed-tree restriction is applied on the reported results
-            kept = []
-            for rt in results:
-                if not rt.edges:
-                    kept.append(rt)
-                    continue
-                root = directed_root(g, rt.edges)
-                if root is not None:
-                    kept.append(replace(rt, root=root))
-            results = kept
-            state.stats.results_found = len(results)
     else:
         state = init_search(g, seeds, cfg)
         _drain(state)
-        results = list(state.results.values())
+    results = []
+    for edges, nodes in state.results:
+        if state.uni and edges:
+            # rooted trees under UNI grow away from their root; a generation
+            # tree, grown in any direction, is dropped when it has no such root
+            root = directed_root(g, edges)
+            if root is None:
+                continue
+        else:
+            root = nodes[0]
+        chosen = seeds.chosen_seeds(nodes)  # every non-universal set, and no other
+        seed_tuple = tuple(chosen.get(i, root) for i in range(seeds.m))
+        results.append(ResultTree(edges, nodes, seed_tuple, root))
+    state.stats.results_found = len(results)
     results.sort(key=lambda rt: (len(rt.edges), rt.edges, rt.nodes))
     results = apply_score_topk(results, cfg.filters, g)
     return results, state.stats

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -22,8 +22,8 @@ class SeedSets:
     """The m groups of candidate leaf nodes a connecting tree must touch.
 
     A set flagged universal stands for all graph nodes: it imposes no
-    constraint on results and contributes no start trees; any tree node can
-    represent it in a result tuple. Non-universal sets are mapped to bit
+    constraint on results and contributes no start trees; the tree's root
+    represents it in a result tuple. Non-universal sets are mapped to bit
     positions so tree bookkeeping can use integer masks.
     """
 
@@ -104,8 +104,8 @@ class ResultTree:
 
     edges: tuple[int, ...]  # ascending
     nodes: tuple[int, ...]  # ascending
-    seed_tuple: tuple[int, ...]  # one node per seed set (universal: representative)
-    root: int
+    seed_tuple: tuple[int, ...]  # one node per seed set (universal: the root)
+    root: int  # reaches every other node under UNI, else the smallest node
     score: float | None = None
 
     def identity(self) -> tuple:
@@ -117,16 +117,16 @@ def is_result(tree, seeds: SeedSets) -> bool:
     return tree.covered == seeds.full_mask
 
 
-def _tree_adjacency(g: Graph, edges: Iterable[int]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
+def _tree_adjacency(g: Graph, edges: Iterable[int]) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {}
     for eid in edges:
         e = g.edges[eid]
-        adj.setdefault(e.source, []).append(eid)
-        adj.setdefault(e.target, []).append(eid)
+        adj.setdefault(e.source, set()).add(eid)
+        adj.setdefault(e.target, set()).add(eid)
     return adj
 
 
-def _check_tree(g: Graph, edges: tuple[int, ...], adj: dict[int, list[int]]) -> None:
+def _check_tree(g: Graph, edges: Collection[int], adj: dict[int, set[int]]) -> None:
     if not edges:
         return
     if len(adj) != len(edges) + 1:
@@ -153,21 +153,20 @@ def minimize(g: Graph, edges: Iterable[int], seeds: SeedSets) -> frozenset[int]:
     of removal order.
     """
     edge_set = set(edges)
-    adj = {n: set(eids) for n, eids in _tree_adjacency(g, edge_set).items()}
-    _check_tree(g, tuple(sorted(edge_set)), {n: list(v) for n, v in adj.items()})
+    adj = _tree_adjacency(g, edge_set)
+    _check_tree(g, edge_set, adj)
     seed_nodes = seeds.seed_nodes()
     leaves = [n for n, eids in adj.items() if len(eids) == 1 and n not in seed_nodes]
     while leaves:
         leaf = leaves.pop()
-        (eid,) = adj[leaf]
+        if not adj[leaf]:
+            continue  # the single node left of a tree without seeds
+        (eid,) = adj.pop(leaf)
         edge_set.discard(eid)
-        del adj[leaf]
         other = g.other_endpoint(eid, leaf)
         adj[other].discard(eid)
         if len(adj[other]) == 1 and other not in seed_nodes:
             leaves.append(other)
-        elif len(adj[other]) == 0:
-            del adj[other]  # single node left
     return frozenset(edge_set)
 
 
@@ -224,8 +223,9 @@ def classify_result(g: Graph, edges: Iterable[int], seeds: SeedSets) -> Classifi
     for n, eids in adj.items():
         if n in seed_nodes:
             continue
-        for other in eids[1:]:
-            ra, rb = find(eids[0]), find(other)
+        first, *rest = eids
+        for other in rest:
+            ra, rb = find(first), find(other)
             if ra != rb:
                 parent[rb] = ra
     groups: dict[int, list[int]] = {}

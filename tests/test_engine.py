@@ -10,7 +10,7 @@ import pytest
 from treeq.bindings import evaluate_bgp
 from treeq.engine import EngineError, compute_seed_sets, evaluate_query, plan_query
 from treeq.lang import CtpFilters, Predicate, QueryAst, parse_query, satisfies, validate_query
-from treeq.search import run_search
+from treeq.search import EDGE_SET_PRUNED, run_search
 from treeq.synth import gen_cdf, gen_random_instance
 from treeq.trees import ResultTree
 
@@ -177,6 +177,26 @@ def test_brute_force_join_semantics_on_random_graphs():
             result = evaluate_query(g, vq, algorithm="bft")
             ours = {tuple(comparable_cell(c) for c in row) for row in result.rows}
             assert ours == def14_rows(g, vq), text
+
+
+@pytest.mark.parametrize("uni", [False, True], ids=["plain", "UNI"])
+def test_bare_member_rows_do_not_depend_on_the_algorithm(uni):
+    # a bare member binds to the tree's root, which run_search picks by one
+    # rule for both drivers: the complete algorithms return equal results
+    rng = random.Random(1313)
+    rows = 0
+    for _ in range(40):
+        g, _ = gen_random_instance(rng, max_nodes=8, max_edges=11, n_labels=2, m=2, max_set_size=1)
+        i, j = rng.sample(sorted(g.nodes), 2)
+        text = f"(?a, ?b, ?u, ?t) :- (?a[id = {i}], ?b[id = {j}], ?u, TREE ?t)" + (" UNI" if uni else "")
+        vq = validate_query(parse_query(text))
+        expected = evaluate_query(g, vq, algorithm="bft")
+        rows += len(expected.rows)
+        for algo in ("bft_m", "bft_am", "gam"):
+            assert evaluate_query(g, vq, algorithm=algo) == expected, (text, algo)
+        for algo in EDGE_SET_PRUNED:
+            assert set(evaluate_query(g, vq, algorithm=algo).rows) <= set(expected.rows), (text, algo)
+    assert rows > 0
 
 
 def test_shared_member_variable_across_ctps(path_abc):

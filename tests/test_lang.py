@@ -158,6 +158,10 @@ def test_parse_errors_carry_position():
         ("(?x)\r\n:- (?a, ?b, ?c) MAX 3", "2:17: filter MAX only allowed after a tree pattern"),
         ("(?x) :-\t(?a, ?b, TREE ?w)\n MAX x", "2:6: expected integer after MAX"),
         ('(?x) :- (?a, "abc, ?b)', "1:14: unexpected character '\"'"),
+        # the lexical rules are ASCII: no Unicode digits or whitespace
+        ("(?a) :- (?a[id = \u0663], ?b, ?c)", "1:18: unexpected character '\u0663'"),
+        ("(?a) :-\u00a0(?a, ?b, ?c)", "1:8: unexpected character '\\xa0'"),
+        ("(?a) :- (?a, ?b,\u2028?c)", "1:17: unexpected character '\\u2028'"),
     ],
 )
 def test_parse_error_positions_on_multi_line_input(text, message):

@@ -84,9 +84,10 @@ def test_init_creates_one_tree_per_seed(path_abc):
 
 def test_init_same_node_in_two_sets_is_a_result(path_abc):
     g, _ = path_abc
-    state = init_search(g, SeedSets([(1,), (1,)]), SearchConfig(algorithm="molesp"))
+    seeds = SeedSets([(1,), (1,)])
+    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     assert len(state.results) == 1
-    (rt,) = state.results.values()
+    (rt,), _ = run_search(g, seeds, SearchConfig(algorithm="molesp"))
     assert rt.edges == () and rt.seed_tuple == (1, 1)
 
 
@@ -96,7 +97,7 @@ def test_init_skips_universal_sets(path_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     assert sorted(state.by_root) == []  # the single start tree was already a result
     assert len(state.results) == 1
-    (rt,) = state.results.values()
+    (rt,), _ = run_search(g, seeds, SearchConfig(algorithm="molesp"))
     assert rt.seed_tuple == (1, 1)  # the universal set is represented by the root
 
 
@@ -430,14 +431,24 @@ def test_single_seed_set_yields_node_results(fig1):
     assert {(rt.edges, rt.seed_tuple) for rt in results} == {((), (2,)), ((), (4,))}
 
 
-def test_universal_set_ignores_coverage(path_abc):
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_universal_set_ignores_coverage(path_abc, algorithm):
     g, _ = path_abc
     with_universal = SeedSets([(1,), (6,), ()], universal=[False, False, True])
     plain = SeedSets([(1,), (6,)])
-    r1, _ = run_search(g, with_universal, SearchConfig(algorithm="molesp"))
-    r2, _ = run_search(g, plain, SearchConfig(algorithm="molesp"))
+    r1, _ = run_search(g, with_universal, SearchConfig(algorithm=algorithm))
+    r2, _ = run_search(g, plain, SearchConfig(algorithm=algorithm))
     assert {rt.edges for rt in r1} == {rt.edges for rt in r2}
-    assert all(rt.seed_tuple[2] == rt.root for rt in r1)
+    assert all(rt.seed_tuple[2] == rt.root == min(rt.nodes) for rt in r1)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_universal_set_binds_the_directed_root_under_uni(algorithm):
+    # 3 -> 1 and 3 -> 2: node 3 reaches both seeds, so it is the root, not node 1
+    g = make_graph(["a", "b", "c"], [(3, 1), (3, 2)])
+    seeds = SeedSets([(1,), (2,), ()], universal=[False, False, True])
+    results, _ = run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=CtpFilters(uni=True)))
+    assert [(rt.edges, rt.seed_tuple, rt.root) for rt in results] == [((1, 2), (1, 2, 3), 3)]
 
 
 def test_results_are_minimal_without_minimization(six_seed_tree):
@@ -633,6 +644,8 @@ def test_invalid_configs(fig1):
         run_search(fig1, SeedSets([(2,)]), SearchConfig(algorithm="dijkstra"))
     with pytest.raises(SeedSetError, match="not a graph node"):
         run_search(fig1, SeedSets([(99,)]), SearchConfig())
+    with pytest.raises(ValueError, match="TOP requires SCORE"):
+        run_search(fig1, SeedSets([(2,)]), SearchConfig(filters=CtpFilters(top_k=1)))
 
 
 def test_lesp_finds_single_spider_results(tee_abc):

@@ -70,6 +70,14 @@ def test_minimize_prunes_trailing_path():
     assert minimize(g, {1, 2, 3, 4, 5}, seeds) == frozenset({1})
 
 
+def test_minimize_drops_every_edge_of_a_tree_without_seeds():
+    g = make_graph(["a", "b", "c", "d"], [(1, 2), (2, 3), (3, 4)])
+    seeds = SeedSets([(4,)])
+    assert minimize(g, {1}, seeds) == frozenset()
+    assert minimize(g, {1, 2}, seeds) == frozenset()
+    assert minimize(g, {1, 2, 3}, seeds) == frozenset()
+
+
 def test_minimize_rejects_non_tree():
     g = make_graph(["a", "b", "c"], [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(ValueError):
