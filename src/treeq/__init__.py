@@ -35,7 +35,7 @@ from .search import (
     run_search,
 )
 from .synth import Workload, gen_cdf, gen_chain, gen_comb, gen_line, gen_star, load_workload, write_workload
-from .trees import Classification, ResultTree, RootedTree, SeedSets, classify_result, minimize
+from .trees import Classification, ResultTree, SeedSets, classify_result, minimize
 
 __all__ = [
     "ALGORITHMS",
@@ -57,7 +57,6 @@ __all__ = [
     "QuerySyntaxError",
     "QueryValidationError",
     "ResultTree",
-    "RootedTree",
     "SearchConfig",
     "SearchStats",
     "SeedSets",

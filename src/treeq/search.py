@@ -14,6 +14,10 @@ The pruned variants deduplicate by edge set alone (``esp``), optionally
 re-root newly completed trees at their seeds to keep merge opportunities
 alive (``moesp``), and spare merge trees from pruning at well-connected
 nodes (``lesp``); ``molesp`` combines all three.
+
+A rooted tree does not record how it was built: the pruned variants read
+only ``gained`` and ``path_anchor``, and a re-rooted copy goes straight to
+``merge_all``, so it is never queued for growing.
 """
 
 from __future__ import annotations
@@ -26,28 +30,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import Graph
 from .lang import CtpFilters
-from .trees import (
-    GROW,
-    INIT,
-    MERGE,
-    REROOT,
-    Classification,
-    ResultTree,
-    RootedTree,
-    SeedSetError,
-    SeedSets,
-    directed_root,
-    is_result,
-    minimize,
-)
+from .trees import Classification, ResultTree, SeedSetError, SeedSets, directed_root, minimize
 
 ALGORITHMS = ("bft", "bft_m", "bft_am", "gam", "esp", "moesp", "lesp", "molesp")
 GENERATION_ALGORITHMS = ("bft", "bft_m", "bft_am")
 EDGE_SET_PRUNED = ("esp", "moesp", "lesp", "molesp")
-
-# process_tree outcomes
-RESULT = "result"
-RECORDED = "recorded"
 
 #: seed-set size ratio beyond which one queue per coverage mask is used
 MULTI_QUEUE_RATIO = 10
@@ -66,6 +53,38 @@ class SearchStats:
     results_found: int = 0
     queue_pops: int = 0
     timed_out: bool = False
+
+
+# ---------------------------------------------------------------------------
+# Search trees
+
+
+class RootedTree(NamedTuple):
+    """A tree of rooted search: it grows only at its root and merges there.
+
+    ``covered`` is the mask of non-universal seed sets that already have their
+    one chosen seed inside the tree. ``path_anchor`` is set while the tree is
+    still a root-ended path from a single seed; it drives the per-node seed
+    signatures. ``gained`` records whether the grow or merge step that built
+    the tree covered strictly more seed sets than each of its inputs; start
+    trees and re-rooted copies have it unset.
+    """
+
+    key: tuple[int, ...]  # sorted edge ids: the canonical edge-set identity
+    root: int
+    nodes: frozenset[int]
+    covered: int
+    path_anchor: int | None = None
+    gained: bool = False
+
+
+class _GenTree(NamedTuple):
+    key: tuple[int, ...]
+    nodes: frozenset[int]
+    covered: int
+    nbits: int  # one bit per node, numbered by when the search first reached it
+    ebits: int  # one bit per edge, numbered the same way; the deduplication identity
+    loose: int  # the nbits of the leaves that are no seeds
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +116,10 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
         raise ValueError(f"unknown score function {filters.score!r}")
     fn, batch = _SCORES[filters.score]
     if batch:
-        scores = fn(list(results), g)
-        scored = [replace(rt, score=float(s)) for rt, s in zip(results, scores)]
+        scores = list(fn(list(results), g))
+        if len(scores) != len(results):
+            raise ValueError(f"score {filters.score!r} returned {len(scores)} scores for {len(results)} results")
+        scored = [replace(rt, score=float(s)) for rt, s in zip(results, scores, strict=True)]
     else:
         scored = [replace(rt, score=float(fn(rt, g))) for rt in results]
     scored.sort(key=lambda rt: (-rt.score, rt.edges, rt.nodes))
@@ -109,7 +130,7 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
 
 def _priority(t: RootedTree, e: int) -> tuple:
     """Queue order of a grow pair: smaller trees first, ties broken canonically."""
-    return (t.size(), t.key, t.root, e)
+    return (len(t.key), t.key, t.root, e)
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +218,6 @@ class RootedState(SearchState):
 # Tree construction steps
 
 
-def _make_init(seeds: SeedSets, node: int) -> RootedTree:
-    return RootedTree(
-        key=(),
-        root=node,
-        nodes=frozenset((node,)),
-        covered=seeds.bits(node),
-        kind=INIT,
-        path_anchor=node,
-    )
-
-
 def admissible_edges(
     state: SearchState, t: RootedTree | _GenTree, at: Iterable[int], incoming_only: bool = False
 ) -> Iterator[tuple[int, int, int]]:
@@ -249,11 +259,11 @@ def try_grow(state: RootedState, t: RootedTree, e: int, far: int, far_bits: int)
     if anchor is not None:
         # a nonempty root-ended path from a single seed marks its root as reached
         state.signatures[far] = state.signatures.get(far, 0) | state.seeds.node_bits.get(anchor, 0)
-    if not is_new(state, key, far, GROW):
+    if not is_new(state, key, far, merge=False):
         state.stats.trees_pruned += 1
         return None
     # far's seed sets are not covered by t yet, so any seed bit is a gain
-    return RootedTree(key, far, t.nodes | {far}, t.covered | far_bits, GROW, anchor, far_bits != 0)
+    return RootedTree(key, far, t.nodes | {far}, t.covered | far_bits, anchor, far_bits != 0)
 
 
 def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree) -> bool:
@@ -276,8 +286,6 @@ def _union(t1: RootedTree, t2: RootedTree, key: tuple[int, ...]) -> RootedTree:
         root=t1.root,
         nodes=t1.nodes | t2.nodes,
         covered=covered,
-        kind=MERGE,
-        path_anchor=None,
         gained=covered.bit_count() > max(t1.covered.bit_count(), t2.covered.bit_count()),
     )
 
@@ -302,7 +310,7 @@ def merge_partners(state: RootedState, t1: RootedTree) -> list[RootedTree]:
 # Deduplication and bookkeeping
 
 
-def is_new(state: RootedState, key: tuple[int, ...], root: int, kind: str) -> bool:
+def is_new(state: RootedState, key: tuple[int, ...], root: int, merge: bool) -> bool:
     """Decide whether a grown or merged tree would survive deduplication.
 
     It is asked before the tree is built. Plain rooted search discards a
@@ -319,7 +327,7 @@ def is_new(state: RootedState, key: tuple[int, ...], root: int, kind: str) -> bo
         return True
     return (
         state.spares_merges
-        and kind == MERGE
+        and merge
         and state.signatures.get(root, 0).bit_count() >= 3
         and state.graph.degree(root) >= 3
         and (key, root) not in state.rooted_keys
@@ -334,19 +342,20 @@ def _record_result(state: SearchState, edges: tuple[int, ...], nodes: frozenset[
 def record_for_merging(state: RootedState, t: RootedTree) -> None:
     """Make ``t`` available as a merge partner; inject re-rooted copies.
 
-    When re-rooting is on and this step covered strictly more seed sets than
-    each of its inputs, a copy of the tree rooted at every other seed node
-    is recorded and immediately merged; such copies merge but never grow.
+    When re-rooting is on and the step that built ``t`` covered strictly more
+    seed sets than each of its inputs, a copy of the tree rooted at every
+    other seed node is recorded and immediately merged; such copies merge
+    but never grow.
     """
     record_partner(state, t)
-    if not (state.reroot_enabled and t.gained and t.kind in (GROW, MERGE)):
+    if not (state.reroot_enabled and t.gained):
         return
     for n in sorted(t.nodes):
         if n == t.root or not state.seeds.bits(n):
             continue
         if (t.key, n) in state.rooted_keys:
             continue
-        copy = RootedTree(t.key, n, t.nodes, t.covered, REROOT)
+        copy = RootedTree(t.key, n, t.nodes, t.covered)
         state.stats.provenances_built += 1
         record_partner(state, copy)
         merge_all(state, copy)
@@ -364,22 +373,20 @@ def record_partner(state: RootedState, t: RootedTree) -> None:
     state.rooted_keys.add((t.key, t.root))
 
 
-def _enqueue_grow_pairs(state: RootedState, t: RootedTree) -> None:
-    for e, far, far_bits in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
-        state.push_pair(t, e, far, far_bits)
+def process_tree(state: RootedState, t: RootedTree) -> bool:
+    """Report a tree that survived deduplication, or record it and queue its grow steps.
 
-
-def process_tree(state: RootedState, t: RootedTree) -> str:
-    """Report or record a tree that survived deduplication and queue its grow steps."""
+    Returns True when the tree was recorded, so the caller merges it.
+    """
     state.stats.provenances_built += 1
     state.hist.add(t.key if state.edge_set_pruned else (t.key, t.root))
-    if is_result(t, state.seeds):
+    if t.covered == state.seeds.full_mask:
         _record_result(state, t.key, t.nodes)
-        return RESULT
+        return False
     record_for_merging(state, t)
-    if t.kind != REROOT:
-        _enqueue_grow_pairs(state, t)
-    return RECORDED
+    for e, far, far_bits in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
+        state.push_pair(t, e, far, far_bits)
+    return True
 
 
 def merge_all(state: RootedState, t: RootedTree) -> None:
@@ -393,11 +400,11 @@ def merge_all(state: RootedState, t: RootedTree) -> None:
         for t1 in current:
             for t2 in merge_partners(state, t1):
                 key = tuple(sorted(t1.key + t2.key))
-                if not is_new(state, key, t1.root, MERGE):
+                if not is_new(state, key, t1.root, merge=True):
                     state.stats.trees_pruned += 1
                     continue
                 merged = _union(t1, t2, key)
-                if process_tree(state, merged) == RECORDED:
+                if process_tree(state, merged):
                     pending.append(merged)
 
 
@@ -428,7 +435,7 @@ def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> RootedState:
     state = RootedState(g, seeds, cfg)
     for s in _start_nodes(g, seeds):
         state.signatures[s] = state.signatures.get(s, 0) | seeds.bits(s)
-        process_tree(state, _make_init(seeds, s))
+        process_tree(state, RootedTree((), s, frozenset((s,)), seeds.bits(s), path_anchor=s))
     return state
 
 
@@ -442,21 +449,12 @@ def _drain(state: RootedState) -> None:
             return
         state.stats.queue_pops += 1
         grown = try_grow(state, *entry)
-        if grown is not None and process_tree(state, grown) == RECORDED:
+        if grown is not None and process_tree(state, grown):
             merge_all(state, grown)
 
 
 # ---------------------------------------------------------------------------
 # Generation-based driver
-
-
-class _GenTree(NamedTuple):
-    key: tuple[int, ...]
-    nodes: frozenset[int]
-    covered: int
-    nbits: int  # one bit per node, numbered by when the search first reached it
-    ebits: int  # one bit per edge, numbered the same way; the deduplication identity
-    loose: int  # the nbits of the leaves that are no seeds
 
 
 def _submasks(mask: int):

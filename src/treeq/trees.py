@@ -1,17 +1,11 @@
-"""Seed sets, search trees with provenance, result trees, and result classification."""
+"""Seed sets, result trees, and the classification and minimization of results."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .graph import Graph
-
-# provenance kinds
-INIT = "init"
-GROW = "grow"
-MERGE = "merge"
-REROOT = "reroot"  # re-rooted copy at a seed; mergeable but never grown
 
 
 class SeedSetError(ValueError):
@@ -74,30 +68,6 @@ class SeedSets:
         return chosen
 
 
-class RootedTree(NamedTuple):
-    """A connected acyclic edge set with a distinguished root and provenance.
-
-    ``covered`` is the mask of non-universal seed sets that already have their
-    one chosen seed inside the tree. ``path_anchor`` is set while the tree is
-    still a root-ended path from a single seed; it drives the per-node seed
-    signatures. ``gained`` records whether this construction step covered
-    strictly more seed sets than each of its inputs. It is a ``NamedTuple``,
-    which is cheaper to build than a frozen dataclass; ``_replace`` derives a
-    changed copy.
-    """
-
-    key: tuple[int, ...]  # sorted edge ids: the canonical edge-set identity
-    root: int
-    nodes: frozenset[int]
-    covered: int
-    kind: str
-    path_anchor: int | None = None
-    gained: bool = False
-
-    def size(self) -> int:
-        return len(self.key)
-
-
 @dataclass(frozen=True)
 class ResultTree:
     """A reported connecting tree: edge set plus its seed tuple."""
@@ -110,11 +80,6 @@ class ResultTree:
 
     def identity(self) -> tuple:
         return self.edges if self.edges else ("node", self.nodes[0])
-
-
-def is_result(tree, seeds: SeedSets) -> bool:
-    """True iff the tree covers every non-universal seed set."""
-    return tree.covered == seeds.full_mask
 
 
 def _tree_adjacency(g: Graph, edges: Iterable[int]) -> dict[int, set[int]]:
@@ -175,10 +140,8 @@ class Classification:
     """Decomposition of a result into simple pieces split at internal seeds."""
 
     pieces: tuple[tuple[int, ...], ...]  # edge ids per piece
-    piece_leaves: tuple[int, ...]  # leaf count per piece
     piece_is_spider: tuple[bool, ...]  # piece is paths merged at one non-seed center
     max_piece_leaves: int  # 0 for single-node results
-    is_path: bool  # no tree node has more than two adjacent tree edges
 
     @property
     def all_spiders(self) -> bool:
@@ -252,13 +215,10 @@ def classify_result(g: Graph, edges: Iterable[int], seeds: SeedSets) -> Classifi
         piece_leaves.append(leaves)
         piece_is_spider.append(spider)
 
-    full_degree = {n: len(eids) for n, eids in adj.items()}
     return Classification(
         pieces=pieces,
-        piece_leaves=tuple(piece_leaves),
         piece_is_spider=tuple(piece_is_spider),
         max_piece_leaves=max(piece_leaves, default=0),
-        is_path=all(d <= 2 for d in full_degree.values()),
     )
 
 

@@ -12,8 +12,7 @@ from treeq.graph import Graph
 from treeq.lang import CtpFilters
 from treeq.search import (
     ALGORITHMS,
-    RECORDED,
-    RESULT,
+    RootedTree,
     SearchConfig,
     _drain,
     admissible_edges,
@@ -31,14 +30,14 @@ from treeq.search import (
     try_grow,
 )
 from treeq.synth import gen_chain, gen_random_instance
-from treeq.trees import GROW, INIT, MERGE, REROOT, RootedTree, SeedSetError, SeedSets, classify_result, minimize
+from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
 
 from conftest import make_graph
 from oracles import brute_ctp, oracle_identities, post_filter_identities, reaches_all, result_identities
 
 
-def _tree(key, root, nodes, covered, kind=GROW, gained=False):
-    return RootedTree(tuple(sorted(key)), root, frozenset(nodes), covered, kind, None, gained)
+def _tree(key, root, nodes, covered, gained=False):
+    return RootedTree(tuple(sorted(key)), root, frozenset(nodes), covered, None, gained)
 
 
 def _root_edges(state, t):
@@ -59,6 +58,33 @@ def _recorded(state, root=None):
     """The merge partners recorded at ``root`` (at any root when None), in record order."""
     entries = sorted(entry for buckets in state.by_root.values() for records in buckets.values() for entry in records)
     return [t for _, t in entries if root is None or t.root == root]
+
+
+class _RootedSpy:
+    """Collects the trees handed to ``process_tree``, ``record_partner``,
+    ``try_grow`` and ``RootedState.push_pair`` while rooted search runs."""
+
+    def __init__(self, monkeypatch):
+        self.processed, self.recorded, self.grown, self.queued = [], [], [], []
+        for owner, name, seen in (
+            (search, "process_tree", self.processed),
+            (search, "record_partner", self.recorded),
+            (search, "try_grow", self.grown),
+            (search.RootedState, "push_pair", self.queued),
+        ):
+            monkeypatch.setattr(owner, name, self._wrap(getattr(owner, name), seen))
+
+    @staticmethod
+    def _wrap(fn, seen):
+        def spy(state, t, *rest):
+            seen.append(t)
+            return fn(state, t, *rest)
+
+        return spy
+
+    def copies(self):
+        """The merge partners filed without passing ``process_tree``: the re-rooted copies."""
+        return [t for t in self.recorded if not any(t is p for p in self.processed)]
 
 
 def _merge(state, t1, t2):
@@ -152,17 +178,14 @@ def test_grow_respects_max_edges_and_labels(path_abc):
 
 def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     g, seeds = path_abc
-    grown_kinds = []
-
-    def spy(state, t, *pair):
-        grown_kinds.append(t.kind)
-        return try_grow(state, t, *pair)
-
-    monkeypatch.setattr(search, "try_grow", spy)
+    spy = _RootedSpy(monkeypatch)
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     _drain(state)
-    assert any(t.kind == REROOT for t in _recorded(state))
-    assert grown_kinds and REROOT not in grown_kinds
+    copies = spy.copies()
+    assert copies and spy.grown
+    assert not any(t is c for t in spy.grown for c in copies)
+    # each copy is filed at a seed of the tree it copies, never as a result
+    assert all(seeds.bits(c.root) and c.covered != seeds.full_mask for c in copies)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +200,7 @@ def test_merge_at_shared_root(path_abc):
     merged = _merge(state, left, right)
     assert merged is not None
     assert merged.key == (4, 5) and merged.root == 5
-    assert merged.covered == 0b110 and merged.kind == MERGE
+    assert merged.covered == 0b110
     assert merged.gained
 
 
@@ -218,14 +241,14 @@ def test_merge_partners_filter_recorded_trees_in_record_order():
     # star around node 1; A = {2}, B = {3, 4}; edge i joins leaf i + 1 to node 1
     g = make_graph(["x", "A", "B", "B", "1", "2"], [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1)])
     seeds = SeedSets([(2,), (3, 4)])
-    t1 = _tree((2, 4), 1, {1, 3, 5}, 0b10, kind=MERGE)  # B via 3, plus leaf 5
+    t1 = _tree((2, 4), 1, {1, 3, 5}, 0b10)  # B via 3, plus leaf 5
     d = _tree((1,), 1, {1, 2}, 0b01)         # A: merges
     b = _tree((3,), 1, {1, 4}, 0b10)         # B via another seed: clash
     c = _tree((4,), 1, {1, 5}, 0)            # shares leaf 5 besides the root
     a = _tree((5,), 1, {1, 6}, 0)            # merges
     e = _tree((1, 5), 1, {1, 2, 6}, 0b01)    # merges within budget 4, not 3
-    both = _tree((1, 2), 1, {1, 2, 3}, 0b11, kind=MERGE)  # clashes with every bucket but mask 0
-    recorded = [_tree((), 1, {1}, 0, kind=INIT), d, b, c, a, e]
+    both = _tree((1, 2), 1, {1, 2, 3}, 0b11)  # clashes with every bucket but mask 0
+    recorded = [_tree((), 1, {1}, 0), d, b, c, a, e]
     for max_edges, expected in ((None, [d, a, e]), (4, [d, a, e]), (3, [d, a])):
         cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=max_edges))
         state = init_search(g, seeds, cfg)
@@ -257,9 +280,9 @@ def test_edge_set_pruning_discards_second_root(path_abc):
     for algo, expected in (("esp", False), ("moesp", False), ("gam", True)):
         state = init_search(g, seeds, SearchConfig(algorithm=algo))
         first = _tree((1, 2), 3, {1, 2, 3}, 0b001)
-        assert process_tree(state, first) == RECORDED
+        assert process_tree(state, first) is True
         second = _tree((1, 2), 2, {1, 2, 3}, 0b001)
-        assert is_new(state, second.key, second.root, second.kind) is expected, algo
+        assert is_new(state, second.key, second.root, merge=False) is expected, algo
 
 
 def test_spare_condition_rescues_merge_trees(tee_abc):
@@ -269,12 +292,12 @@ def test_spare_condition_rescues_merge_trees(tee_abc):
         state.hist.add((1, 2, 4, 6))  # A-1-x-3-C seen under some other root
         state.signatures[3] = 0b111  # three seed-rooted paths reached x
         assert g.degree(3) >= 3
-        spared = _tree((1, 2, 4, 6), 3, {1, 2, 3, 6, 7}, 0b101, kind=MERGE)
-        assert is_new(state, spared.key, spared.root, MERGE) is expected, algo
+        spared = _tree((1, 2, 4, 6), 3, {1, 2, 3, 6, 7}, 0b101)
+        assert is_new(state, spared.key, spared.root, merge=True) is expected, algo
         if expected:
             # an identical recorded rooted tree blocks the spare
             record_for_merging(state, spared)
-            assert is_new(state, spared.key, spared.root, MERGE) is False
+            assert is_new(state, spared.key, spared.root, merge=True) is False
 
 
 def test_spare_needs_enough_signature_bits(tee_abc):
@@ -282,7 +305,7 @@ def test_spare_needs_enough_signature_bits(tee_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="lesp"))
     state.hist.add((1, 2))
     state.signatures[3] = 0b011  # only two bits
-    assert is_new(state, (1, 2), 3, MERGE) is False
+    assert is_new(state, (1, 2), 3, merge=True) is False
 
 
 def test_grow_trees_never_spared(tee_abc):
@@ -290,13 +313,13 @@ def test_grow_trees_never_spared(tee_abc):
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     state.hist.add((1, 2))
     state.signatures[3] = 0b111
-    assert is_new(state, (1, 2), 3, GROW) is False
+    assert is_new(state, (1, 2), 3, merge=False) is False
 
 
 def test_first_tree_over_any_edge_set_is_new(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert is_new(state, (2, 3), 2, GROW)
+    assert is_new(state, (2, 3), 2, merge=False)
 
 
 def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch):
@@ -317,7 +340,7 @@ def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch)
     _, stats = run_search(w.graph, SeedSets([(1,), (10,)]), SearchConfig(algorithm="molesp"))
     assert stats.trees_pruned == 4608  # chain10_span9 in test_search_pins
     assert len(built) == stats.provenances_built
-    assert len(unions) == sum(t.kind == MERGE for t in built)
+    assert all(any(u is t for t in built) for u in unions)
     assert len(pairs) > len(unions)
 
 
@@ -325,60 +348,79 @@ def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch)
 # recording, re-rooted copies, merge fixpoint
 
 
-def test_reroot_copies_created_at_new_seeds(path_abc):
+def test_reroot_copies_created_at_new_seeds(path_abc, monkeypatch):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
+    spy = _RootedSpy(monkeypatch)
     merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
-    assert process_tree(state, merged) == RECORDED
-    assert any(t.kind == REROOT and t.key == (4, 5) for t in _recorded(state, 4))
-    assert any(t.kind == REROOT and t.key == (4, 5) for t in _recorded(state, 6))
+    assert search.process_tree(state, merged) is True
+    # the merge gained set C over B-3 and set B over 3-C: copies at both other seeds
+    assert [(c.key, c.root) for c in spy.copies()] == [((4, 5), 4), ((4, 5), 6)]
+    assert all(c.nodes == merged.nodes and c.covered == merged.covered for c in spy.copies())
+    assert spy.recorded[0] is merged
 
 
-def test_no_reroot_without_seed_gain(path_abc):
+def test_no_reroot_without_seed_gain(path_abc, monkeypatch):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
     grown = _grow(state, _recorded(state, 1)[0], 1)  # A-1, no new seed
     assert not grown.gained
-    process_tree(state, grown)
-    assert all(t.kind != REROOT for t in _recorded(state))
+    spy = _RootedSpy(monkeypatch)
+    search.process_tree(state, grown)
+    assert spy.recorded == [grown] and spy.copies() == []
 
 
-def test_no_reroot_under_plain_esp(path_abc):
+def test_no_reroot_under_plain_esp(path_abc, monkeypatch):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="esp"))
     merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
-    process_tree(state, merged)
-    assert all(t.kind != REROOT for t in _recorded(state))
+    assert merged.gained
+    spy = _RootedSpy(monkeypatch)
+    search.process_tree(state, merged)
+    assert spy.recorded == [merged] and spy.copies() == []
 
 
 def test_process_tree_outcomes(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    full = _tree((1, 2, 3, 4, 5), 6, {1, 2, 3, 4, 5, 6}, 0b111, kind=GROW)
+    full = _tree((1, 2, 3, 4, 5), 6, {1, 2, 3, 4, 5, 6}, 0b111)
     queued_before = _pending_pairs(state)
-    assert process_tree(state, full) == RESULT
+    assert process_tree(state, full) is False
     assert len(state.results) == 1
     assert _pending_pairs(state) == queued_before  # results are never grown
-    assert not is_new(state, full.key, full.root, GROW)
+    assert not is_new(state, full.key, full.root, merge=False)
+
+
+def test_process_tree_reports_only_trees_covering_every_set(fig1):
+    seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    state = init_search(fig1, seeds, SearchConfig(algorithm="gam"))
+    assert process_tree(state, _tree((9, 10, 11), 9, {4, 7, 6, 9}, 0b111)) is False
+    assert state.results == {((9, 10, 11), (4, 6, 7, 9))}
+    assert process_tree(state, _tree((1,), 2, {1, 2}, 0b001)) is True
+    assert len(state.results) == 1
+    one_set = SeedSets([(2,)])
+    state = init_search(fig1, one_set, SearchConfig(algorithm="gam"))
+    assert state.results == {((), (2,))}  # a start tree can cover every set
 
 
 def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc):
     g, seeds = path_abc
     state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
     init_a = _recorded(state, 1)[0]
-    assert process_tree(state, _grow(state, init_a, 1)) == RECORDED  # A-1
+    assert process_tree(state, _grow(state, init_a, 1)) is True  # A-1
     pruned_before = state.stats.trees_pruned
     assert _grow(state, init_a, 1) is None
     assert state.stats.trees_pruned == pruned_before + 1
 
 
-def test_rerooted_trees_are_not_enqueued(path_abc):
+def test_rerooted_trees_are_not_enqueued(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    mo = _tree((4,), 4, {4, 5}, 0b010, kind=REROOT)
-    queued_before = _pending_pairs(state)
-    assert process_tree(state, mo) == RECORDED
-    assert _pending_pairs(state) == queued_before
+    spy = _RootedSpy(monkeypatch)
+    state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
+    _drain(state)
+    copies = spy.copies()
+    assert copies and spy.queued
+    assert not any(t is c for t in spy.queued for c in copies)
 
 
 def test_merge_all_with_no_partners_is_noop(path_abc):
@@ -519,7 +561,7 @@ def test_molesp_complete_on_random_m3_sample():
 
 
 def test_molesp_complete_under_largest_first_order(monkeypatch):
-    monkeypatch.setattr(search, "_priority", lambda t, e: (-t.size(), t.key, t.root, e))
+    monkeypatch.setattr(search, "_priority", lambda t, e: (-len(t.key), t.key, t.root, e))
     rng = random.Random(616)
     for _ in range(25):
         g, seeds = gen_random_instance(rng, max_nodes=9, max_edges=14, n_labels=3, m=3, max_set_size=2)
@@ -652,6 +694,15 @@ def test_lesp_finds_single_spider_results(tee_abc):
     g, seeds = tee_abc
     results, _ = run_search(g, seeds, SearchConfig(algorithm="lesp"))
     assert {rt.edges for rt in results} == {(1, 2, 3, 4, 5, 6)}
+
+
+def test_batch_score_with_wrong_count_is_an_error():
+    from treeq.search import register_score
+
+    register_score("short", lambda results, g: [1.0], batch=True)
+    w = gen_chain(3)
+    with pytest.raises(ValueError, match=r"score 'short' returned 1 scores for 8 results"):
+        run_search(w.graph, w.seeds(), SearchConfig(algorithm="bft", filters=CtpFilters(score="short")))
 
 
 def test_batch_score_hook(fig1):

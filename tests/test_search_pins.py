@@ -215,3 +215,74 @@ def _extra_case(name):
 def test_heavy_and_order_sensitive_cases_match_recorded_values(name, algorithm):
     g, seeds = _extra_case(name)
     assert observe(g, seeds, CtpFilters(), algorithm) == EXTRA_PINNED[name, algorithm]
+
+
+#: Cases pinned on every reported field: the digest covers the ordered
+#: ``(edges, nodes, seed_tuple, root, score)`` of the results, so the root
+#: rule, the universal seed-set cells and the scores are checked as well.
+FULL_PINNED = {
+    ("fig1_universal", "bft"): (9645, 8436, 0, 61, "842244c92fd5c389"),
+    ("fig1_universal", "bft_m"): (9645, 30301, 0, 61, "842244c92fd5c389"),
+    ("fig1_universal", "bft_am"): (11273, 46076, 0, 61, "842244c92fd5c389"),
+    ("fig1_universal", "gam"): (760, 0, 392, 61, "842244c92fd5c389"),
+    ("fig1_universal", "esp"): (334, 426, 392, 61, "842244c92fd5c389"),
+    ("fig1_universal", "moesp"): (334, 426, 392, 61, "842244c92fd5c389"),
+    ("fig1_universal", "lesp"): (334, 426, 392, 61, "842244c92fd5c389"),
+    ("fig1_universal", "molesp"): (334, 426, 392, 61, "842244c92fd5c389"),
+    ("chain4_universal_uni", "bft"): (46, 16, 0, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "bft_m"): (46, 64, 0, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "bft_am"): (46, 64, 0, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "gam"): (32, 0, 30, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "esp"): (32, 0, 30, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "moesp"): (32, 0, 30, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "lesp"): (32, 0, 30, 16, "519dba71fbee619e"),
+    ("chain4_universal_uni", "molesp"): (32, 0, 30, 16, "519dba71fbee619e"),
+    ("fig1_top3", "bft"): (1268, 1364, 0, 22, "05229f6033700c5e"),
+    ("fig1_top3", "bft_m"): (1346, 2568, 0, 22, "05229f6033700c5e"),
+    ("fig1_top3", "bft_am"): (1434, 7163, 0, 22, "05229f6033700c5e"),
+    ("fig1_top3", "gam"): (329, 4, 208, 22, "05229f6033700c5e"),
+    ("fig1_top3", "esp"): (63, 44, 71, 3, "ca28f1062b68b94d"),
+    ("fig1_top3", "moesp"): (107, 45, 71, 22, "05229f6033700c5e"),
+    ("fig1_top3", "lesp"): (76, 39, 75, 3, "ca28f1062b68b94d"),
+    ("fig1_top3", "molesp"): (121, 39, 75, 22, "05229f6033700c5e"),
+    ("m3_2_universal", "bft"): (1035, 1008, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "bft_m"): (1035, 2118, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "bft_am"): (1084, 3755, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "gam"): (474, 18, 302, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "esp"): (147, 144, 171, 20, "698144f42b674ef7"),
+    ("m3_2_universal", "moesp"): (200, 154, 171, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "lesp"): (229, 108, 199, 20, "698144f42b674ef7"),
+    ("m3_2_universal", "molesp"): (288, 112, 199, 33, "03e4866887a274ee"),
+}
+
+
+def _full_cases(fig1):
+    fig1_seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    universal = SeedSets([(2, 4), (), (9,)], [False, True, False])
+    chain = gen_chain(4)
+    chain_universal = SeedSets([*chain.seed_sets, ()], [False, False, True])
+    g, seeds = random_suite(3, [1, 2, 3], rng_seed=20250811)[2]
+    return {
+        "fig1_universal": (fig1, universal, CtpFilters()),
+        "chain4_universal_uni": (chain.graph, chain_universal, CtpFilters(uni=True)),
+        "fig1_top3": (fig1, fig1_seeds, CtpFilters(score="edgecount", top_k=3)),
+        "m3_2_universal": (g, SeedSets(list(seeds.sets) + [()], [False] * seeds.m + [True]), CtpFilters()),
+    }
+
+
+def observe_full(g, seeds, filters, algorithm) -> tuple:
+    results, stats = run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=filters))
+    rows = repr([(rt.edges, rt.nodes, rt.seed_tuple, rt.root, rt.score) for rt in results]).encode()
+    return (
+        stats.provenances_built,
+        stats.trees_pruned,
+        stats.queue_pops,
+        stats.results_found,
+        hashlib.sha256(rows).hexdigest()[:16],
+    )
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_roots_seed_tuples_and_scores_match_recorded_values(fig1, algorithm):
+    for name, (g, seeds, filters) in _full_cases(fig1).items():
+        assert observe_full(g, seeds, filters, algorithm) == FULL_PINNED[name, algorithm], name

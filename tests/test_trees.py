@@ -6,12 +6,10 @@ import pytest
 
 from treeq.trees import (
     Classification,
-    RootedTree,
     SeedSetError,
     SeedSets,
     classify_result,
     directed_root,
-    is_result,
     minimize,
 )
 
@@ -41,16 +39,6 @@ def test_universal_sets_do_not_get_bits():
     assert seeds.active == (0, 2)
     assert seeds.full_mask == 0b11
     assert seeds.bits(2) == 0b10
-
-
-def test_is_result_coverage_cases(fig1):
-    seeds = SeedSets([(2, 4), (3, 6), (9,)])
-    covered_tree = RootedTree((9, 10, 11), 9, frozenset({4, 7, 6, 9}), 0b111, "merge")
-    assert is_result(covered_tree, seeds)
-    single = RootedTree((), 2, frozenset({2}), 0b001, "init")
-    assert not is_result(single, seeds)
-    one_set = SeedSets([(2,)])
-    assert is_result(RootedTree((), 2, frozenset({2}), 0b1, "init"), one_set)
 
 
 def test_minimize_drops_dead_branch(fig1):
@@ -94,7 +82,6 @@ def test_classify_six_seed_result(six_seed_tree):
     cls = classify_result(g, result_edges, seeds)
     assert len(cls.pieces) == 5
     assert cls.max_piece_leaves == 2
-    assert not cls.is_path
     assert set(cls.pieces) == {
         (6, 12),  # A-4-D
         (1, 2, 3),  # A-1-2-B
@@ -113,7 +100,6 @@ def test_classify_three_leaf_star(tee_abc):
     assert cls.max_piece_leaves == 3
     assert cls.piece_is_spider == (True,)
     assert cls.all_spiders
-    assert not cls.is_path
 
 
 def test_classify_single_edge_between_two_seeds():
@@ -122,13 +108,11 @@ def test_classify_single_edge_between_two_seeds():
     assert cls.pieces == ((1,),)
     assert cls.max_piece_leaves == 2
     assert cls.piece_is_spider == (False,)
-    assert cls.is_path
 
 
 def test_classify_path_result(path_abc):
     g, seeds = path_abc
     cls = classify_result(g, (1, 2, 3, 4, 5), seeds)
-    assert cls.is_path
     assert cls.max_piece_leaves == 2
     assert len(cls.pieces) == 2  # split at the internal seed
 
@@ -149,7 +133,6 @@ def test_classify_empty_result_is_trivially_guaranteed(fig1):
     assert cls.pieces == ()
     assert cls.max_piece_leaves == 0
     assert cls.all_spiders
-    assert cls.is_path
 
 
 def test_directed_root(fig1):
