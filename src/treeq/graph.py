@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import re
+from typing import Iterable, NamedTuple
 
 
 class GraphLoadError(ValueError):
     """Malformed or inconsistent node/edge input."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     label: str = ""
     kind: str = "uri"  # "uri" or "literal"
     types: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     source: int
     target: int
@@ -38,37 +36,42 @@ class Graph:
         self.edges: dict[int, Edge] = {}
         self._in: dict[int, list[int]] = {}
         self._both: dict[int, list[int]] = {}
-        self._degree: dict[int, int] = {}
+        #: self-loops per node that has any; ``degree`` counts each twice
+        self._loops: dict[int, int] = {}
         self._by_label: dict[str, list[int]] = {}
+        by_id, incoming, both = self.nodes, self._in, self._both
         for n in nodes:
-            if n.id in self.nodes:
-                raise GraphLoadError(f"duplicate node id {n.id}")
+            nid = n.id
+            if nid in by_id:
+                raise GraphLoadError(f"duplicate node id {nid}")
             if n.kind not in ("uri", "literal"):
-                raise GraphLoadError(f"node {n.id}: unknown kind {n.kind!r}")
-            self.nodes[n.id] = n
-            self._in[n.id] = []
-            self._both[n.id] = []
-            self._degree[n.id] = 0
+                raise GraphLoadError(f"node {nid}: unknown kind {n.kind!r}")
+            by_id[nid] = n
+            incoming[nid] = []
+            both[nid] = []
+        by_eid, loops, by_label = self.edges, self._loops, self._by_label
         for e in edges:
-            if e.id in self.edges:
-                raise GraphLoadError(f"duplicate edge id {e.id}")
-            for endpoint in (e.source, e.target):
-                if endpoint not in self.nodes:
-                    raise GraphLoadError(f"edge {e.id} references unknown node {endpoint}")
-            if self.nodes[e.source].kind == "literal":
-                raise GraphLoadError(f"edge {e.id} leaves literal node {e.source}")
-            self.edges[e.id] = e
-            self._in[e.target].append(e.id)
-            self._both[e.source].append(e.id)
-            if e.target != e.source:
-                self._both[e.target].append(e.id)
-            # a self-loop counts twice, once per direction
-            self._degree[e.source] += 1
-            self._degree[e.target] += 1
-            self._by_label.setdefault(e.label, []).append(e.id)
-        for nid in self.nodes:
-            self._in[nid].sort()
-            self._both[nid].sort()
+            eid, source, target, label = e
+            if eid in by_eid:
+                raise GraphLoadError(f"duplicate edge id {eid}")
+            source_node = by_id.get(source)
+            if source_node is None:
+                raise GraphLoadError(f"edge {eid} references unknown node {source}")
+            if target not in by_id:
+                raise GraphLoadError(f"edge {eid} references unknown node {target}")
+            if source_node.kind == "literal":
+                raise GraphLoadError(f"edge {eid} leaves literal node {source}")
+            by_eid[eid] = e
+            incoming[target].append(eid)
+            both[source].append(eid)
+            if target != source:
+                both[target].append(eid)
+            else:
+                loops[source] = loops.get(source, 0) + 1
+            by_label.setdefault(label, []).append(eid)
+        for nid in by_id:
+            incoming[nid].sort()
+            both[nid].sort()
 
     @property
     def num_nodes(self) -> int:
@@ -79,8 +82,8 @@ class Graph:
         return len(self.edges)
 
     def degree(self, nid: int) -> int:
-        """Number of adjacent edges, counting both directions."""
-        return self._degree[nid]
+        """Number of adjacent edges, counting both directions (a self-loop twice)."""
+        return len(self._both[nid]) + self._loops.get(nid, 0)
 
     def adjacent_edges(self, nid: int) -> list[int]:
         """Edge ids adjacent to ``nid`` in either direction, ascending."""
@@ -99,28 +102,17 @@ class Graph:
         return e.target if e.source == nid else e.source
 
 
-def _parse_node_row(line: str) -> Node:
+# int() alone would also read "1_0", " 2 ", "+3" and non-ASCII digits
+_NODE_ROW = re.compile(r"(-?[0-9]+)\t([^\t]*)\t([^\t]*)\t([^\t]*)").fullmatch
+_EDGE_ROW = re.compile(r"(-?[0-9]+)\t(-?[0-9]+)\t([^\t]*)\t(-?[0-9]+)").fullmatch
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of a row; a wrong field count is reported before any bad field."""
     parts = line.split("\t")
     if len(parts) != 4:
         raise GraphLoadError(f"expected 4 tab-separated fields, got {len(parts)}")
-    raw_id, label, kind, raw_types = parts
-    try:
-        nid = int(raw_id)
-    except ValueError:
-        raise GraphLoadError(f"bad node id {raw_id!r}") from None
-    return Node(nid, label, kind, frozenset(t for t in raw_types.split(",") if t))
-
-
-def _parse_edge_row(line: str) -> Edge:
-    parts = line.split("\t")
-    if len(parts) != 4:
-        raise GraphLoadError(f"expected 4 tab-separated fields, got {len(parts)}")
-    raw_id, raw_src, label, raw_tgt = parts
-    try:
-        eid, src, tgt = int(raw_id), int(raw_src), int(raw_tgt)
-    except ValueError:
-        raise GraphLoadError("bad integer field") from None
-    return Edge(eid, src, tgt, label)
+    return parts
 
 
 def load_graph(node_rows: Iterable[str], edge_rows: Iterable[str]) -> Graph:
@@ -128,22 +120,51 @@ def load_graph(node_rows: Iterable[str], edge_rows: Iterable[str]) -> Graph:
 
     Node rows: ``id<TAB>label<TAB>kind<TAB>types`` with comma-separated types.
     Edge rows: ``id<TAB>source<TAB>label<TAB>target``.
+    Ids, sources and targets are ASCII decimal integers (``-?[0-9]+``).
+    Nodes with the same ``types`` field share one frozenset.
     Rows are parsed here and checked by ``Graph``; every error, from either,
     is reported with the file and 1-based line of the row that caused it.
     """
     where = ["nodes.tsv", 0]
 
-    def parsed(name, rows, parse):
-        for lineno, line in enumerate(rows, start=1):
+    def parsed_nodes():
+        type_sets: dict[str, frozenset[str]] = {}
+        for lineno, line in enumerate(node_rows, start=1):
             line = line.rstrip("\n")
             if line:
-                where[:] = name, lineno
-                yield parse(line)
+                where[1] = lineno
+                row = _NODE_ROW(line)
+                if row is None:
+                    raise GraphLoadError(f"bad node id {_fields(line)[0]!r}")
+                raw_id, label, kind, raw_types = row.groups()
+                try:
+                    nid = int(raw_id)
+                except ValueError:  # more digits than int() converts
+                    raise GraphLoadError(f"bad node id {raw_id!r}") from None
+                types = type_sets.get(raw_types)
+                if types is None:
+                    types = type_sets[raw_types] = frozenset(t for t in raw_types.split(",") if t)
+                yield Node(nid, label, kind, types)
+
+    def parsed_edges():
+        where[0] = "edges.tsv"
+        for lineno, line in enumerate(edge_rows, start=1):
+            line = line.rstrip("\n")
+            if line:
+                where[1] = lineno
+                row = _EDGE_ROW(line)
+                if row is None:
+                    _fields(line)
+                    raise GraphLoadError("bad integer field")
+                raw_id, raw_src, label, raw_tgt = row.groups()
+                try:
+                    eid, source, target = int(raw_id), int(raw_src), int(raw_tgt)
+                except ValueError:  # more digits than int() converts
+                    raise GraphLoadError("bad integer field") from None
+                yield Edge(eid, source, target, label)
 
     try:
-        return Graph(
-            parsed("nodes.tsv", node_rows, _parse_node_row), parsed("edges.tsv", edge_rows, _parse_edge_row)
-        )
+        return Graph(parsed_nodes(), parsed_edges())
     except GraphLoadError as exc:
         raise GraphLoadError(f"{where[0]} line {where[1]}: {exc}") from None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -58,6 +59,12 @@ def test_duplicate_ids_reported_with_line():
         )
 
 
+TWO_NODES = ["1\ta\turi\t", "2\tb\turi\tt1,t2"]
+
+
+# One row per load error; the "then" rows hold two faults and pin which check
+# fires first. The "id-" rows hold ids that int() alone would read but that are
+# no ASCII decimals.
 @pytest.mark.parametrize(
     "node_rows, edge_rows, message",
     [
@@ -69,13 +76,66 @@ def test_duplicate_ids_reported_with_line():
             ["1\t1\tx\t2", "", "2\t2\tx\t1"],
             "edges.tsv line 3: edge 2 leaves literal node 2",
         ),
+        (["1\ta\turi"], [], "nodes.tsv line 1: expected 4 tab-separated fields, got 3"),
+        (["1\ta\turi\t\tx"], [], "nodes.tsv line 1: expected 4 tab-separated fields, got 5"),
+        (TWO_NODES, ["1\t1\tx\t2", "2\t1\tx"], "edges.tsv line 2: expected 4 tab-separated fields, got 3"),
+        (["x\ta\turi\t"], [], "nodes.tsv line 1: bad node id 'x'"),
+        (["\ta\turi\t"], [], "nodes.tsv line 1: bad node id ''"),
+        (TWO_NODES, ["e\t1\tx\t2"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES, ["1\ts\tx\t2"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES, ["1\t1\tx\t2.0"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES + ["1\tc\turi\t"], [], "nodes.tsv line 3: duplicate node id 1"),
+        (TWO_NODES, ["1\t1\tx\t2", "1\t2\tx\t1"], "edges.tsv line 2: duplicate edge id 1"),
+        (["1\ta\t\t"], [], "nodes.tsv line 1: node 1: unknown kind ''"),
+        (["x\ta\turi"], [], "nodes.tsv line 1: expected 4 tab-separated fields, got 3"),
+        (TWO_NODES, ["x\t1\tx"], "edges.tsv line 1: expected 4 tab-separated fields, got 3"),
+        (TWO_NODES + ["1\tc\tblank\t"], [], "nodes.tsv line 3: duplicate node id 1"),
+        (TWO_NODES + ["1\tz\turi\t"], ["1\t1\tx\t9"], "nodes.tsv line 3: duplicate node id 1"),
+        (TWO_NODES, ["1\t1\tx\t2", "1\t9\tx\t1"], "edges.tsv line 2: duplicate edge id 1"),
+        (TWO_NODES, ["1\t8\tx\t7"], "edges.tsv line 1: edge 1 references unknown node 8"),
+        (["1\ta\tliteral\t"], ["1\t1\tx\t9"], "edges.tsv line 1: edge 1 references unknown node 9"),
+        (["1_0\tx\turi\t"], [], "nodes.tsv line 1: bad node id '1_0'"),
+        ([" 2 \tx\turi\t"], [], "nodes.tsv line 1: bad node id ' 2 '"),
+        (["+3\tx\turi\t"], [], "nodes.tsv line 1: bad node id '+3'"),
+        (["\u0663\tx\turi\t"], [], "nodes.tsv line 1: bad node id '\u0663'"),
+        (TWO_NODES, ["1_0\t1\tx\t2"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES, ["1\t 2 \tx\t1"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES, ["1\t1\tx\t+2"], "edges.tsv line 1: bad integer field"),
+        (TWO_NODES, ["1\t1\tx\t\u0662"], "edges.tsv line 1: bad integer field"),
     ],
-    ids=["kind", "unknown-source", "unknown-target", "literal-source"],
+    ids=[
+        "kind", "unknown-source", "unknown-target", "literal-source",
+        "node-fields", "node-fields-5", "edge-fields", "node-id", "node-id-empty",
+        "edge-id", "edge-source-id", "edge-target-id", "duplicate-node", "duplicate-edge", "kind-empty",
+        "fields-then-id", "edge-fields-then-ids", "duplicate-node-then-kind", "node-then-edge",
+        "duplicate-edge-then-unknown", "unknown-source-then-target", "unknown-then-literal",
+        "id-underscore", "id-spaces", "id-plus", "id-non-ascii",
+        "id-underscore-edge", "id-spaces-source", "id-plus-target", "id-non-ascii-target",
+    ],
 )
 def test_graph_rejections_reported_with_file_and_line(node_rows, edge_rows, message):
     with pytest.raises(GraphLoadError) as err:
         load_graph(node_rows, edge_rows)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() converts any number of digits"
+)
+def test_ids_beyond_the_int_digit_limit_are_load_errors():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(["9" * digits + "\tx\turi\t"], [])
+    assert str(err.value) == f"nodes.tsv line 1: bad node id '{'9' * digits}'"
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(["1\ta\turi\t"], ["1\t1\tx\t" + "1" * digits])
+    assert str(err.value) == "edges.tsv line 1: bad integer field"
+
+
+def test_negative_and_zero_padded_ids_load():
+    g = load_graph(["-1\ta\turi\t", "-0\tb\turi\t", "007\tc\turi\t"], ["-5\t-1\tx\t007"])
+    assert sorted(g.nodes) == [-1, 0, 7]
+    assert g.edges[-5] == Edge(-5, -1, 7, "x")
 
 
 def test_malformed_row_reported_with_line():
@@ -121,6 +181,27 @@ def test_types_parse_and_membership(fig1):
     assert "entrepreneur" in fig1.nodes[3].types
     assert fig1.nodes[11].types == frozenset()
     assert fig1.nodes[11].kind == "literal"
+
+
+def test_equal_types_fields_share_one_frozenset():
+    g = load_graph(["1\ta\turi\tt1,t2", "2\tb\turi\tt1,t2", "3\tc\turi\tt2", "4\td\turi\t", "5\te\turi\t"], [])
+    assert g.nodes[1].types == {"t1", "t2"} and g.nodes[3].types == {"t2"}
+    assert g.nodes[1].types is g.nodes[2].types
+    assert g.nodes[4].types is g.nodes[5].types == frozenset()
+
+
+def test_records_are_named_tuples():
+    n = Node(3, "c", types=frozenset({"t"}))
+    assert n == (3, "c", "uri", frozenset({"t"}))
+    assert n._replace(id=4) == Node(4, "c", "uri", frozenset({"t"}))
+    assert Edge(1, 2, 3)._replace(label="x") == Edge(1, 2, 3, "x")
+
+
+def test_degree_counts_a_self_loop_twice():
+    g = load_graph(["1\ta\turi\t", "2\tb\turi\t"], ["1\t1\tx\t1", "2\t1\tx\t2", "3\t1\ty\t1"])
+    assert g.adjacent_edges(1) == [1, 2, 3]
+    assert g.degree(1) == 5
+    assert g.degree(2) == 1
 
 
 def test_round_trip(fig1):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -780,8 +779,8 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
         big_id = {n: 10**12 + 7919 * n for n in small.nodes}  # increasing, so every order is kept
         small_id = {b: n for n, b in big_id.items()}
         big = Graph(
-            [replace(node, id=big_id[node.id]) for node in small.nodes.values()],
-            [replace(e, source=big_id[e.source], target=big_id[e.target]) for e in small.edges.values()],
+            [node._replace(id=big_id[node.id]) for node in small.nodes.values()],
+            [e._replace(source=big_id[e.source], target=big_id[e.target]) for e in small.edges.values()],
         )
         big_seeds = SeedSets([{big_id[n] for n in s} for s in seeds.sets])
         for algo in ("bft_m", "bft_am"):
