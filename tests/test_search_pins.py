@@ -13,10 +13,11 @@ import hashlib
 
 import pytest
 
+from treeq.engine import plan_query
 from treeq.graph import load_graph
-from treeq.lang import CtpFilters
+from treeq.lang import CtpFilters, parse_query, validate_query
 from treeq.search import ALGORITHMS, SearchConfig, run_search
-from treeq.synth import gen_chain, gen_comb, gen_star
+from treeq.synth import gen_cdf, gen_chain, gen_comb, gen_star
 from treeq.trees import SeedSets
 
 from conftest import FIG1_EDGES, FIG1_NODES, random_suite
@@ -173,7 +174,8 @@ def test_counters_and_result_order_match_recorded_values(fig1, algorithm):
 #: Heavy or order-sensitive cases, pinned for the listed algorithms only. The
 #: m=4..6 instances change their counters when merge partners are visited out
 #: of record order; m3_53 is the slowest bft_m instance of the m<=3 suite;
-#: fig1_skewed has seed sets skewed enough to turn on one queue per mask.
+#: fig1_skewed, fig1_skewed_ties and cdf8_skewed have seed sets skewed enough
+#: to turn on one queue per mask; cdf16 is a small cdf m=2 forest query.
 EXTRA_PINNED = {
     ("chain10_span9", "gam"): (6144, 0, 2046, 512, "30361bb9b08b6c30"),
     ("chain10_span9", "esp"): (1536, 4608, 2046, 512, "30361bb9b08b6c30"),
@@ -185,6 +187,21 @@ EXTRA_PINNED = {
     ("fig1_skewed", "moesp"): (19, 4, 9, 1, "c82da1453eed771d"),
     ("fig1_skewed", "lesp"): (17, 4, 9, 1, "c82da1453eed771d"),
     ("fig1_skewed", "molesp"): (19, 4, 9, 1, "c82da1453eed771d"),
+    ("fig1_skewed_ties", "gam"): (29, 0, 14, 3, "a97921bab8029504"),
+    ("fig1_skewed_ties", "esp"): (18, 8, 12, 2, "3183ef102897e49a"),
+    ("fig1_skewed_ties", "moesp"): (23, 8, 12, 3, "a97921bab8029504"),
+    ("fig1_skewed_ties", "lesp"): (18, 8, 12, 2, "3183ef102897e49a"),
+    ("fig1_skewed_ties", "molesp"): (23, 8, 12, 3, "a97921bab8029504"),
+    ("cdf8_skewed", "gam"): (1202, 0, 1142, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "esp"): (1062, 52, 1054, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "moesp"): (1070, 52, 1054, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "lesp"): (1062, 52, 1054, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "molesp"): (1070, 52, 1054, 2, "3e8c2d268f0617df"),
+    ("cdf16", "gam"): (896, 0, 704, 64, "7684550037207385"),
+    ("cdf16", "esp"): (704, 192, 704, 64, "7684550037207385"),
+    ("cdf16", "moesp"): (704, 192, 704, 64, "7684550037207385"),
+    ("cdf16", "lesp"): (704, 192, 704, 64, "7684550037207385"),
+    ("cdf16", "molesp"): (704, 192, 704, 64, "7684550037207385"),
     ("m456_50", "moesp"): (2951, 1479, 554, 42, "6fe431d49d7383c5"),
     ("m456_50", "molesp"): (3460, 1392, 735, 42, "6fe431d49d7383c5"),
     ("m456_70", "moesp"): (817, 602, 301, 69, "f49702cb10ce57ee"),
@@ -204,6 +221,15 @@ def _extra_case(name):
         return gen_chain(10).graph, SeedSets([(1,), (11,)])
     if name == "fig1_skewed":
         return load_graph(FIG1_NODES.splitlines(), FIG1_EDGES.splitlines()), SeedSets([range(1, 11), (11,), (9,)])
+    if name == "fig1_skewed_ties":  # queues of equal length: the smaller mask is popped first
+        return load_graph(FIG1_NODES.splitlines(), FIG1_EDGES.splitlines()), SeedSets([range(1, 11), (11,), (12,)])
+    if name.startswith("cdf"):  # the seed sets its query plan derives; cdf16: 64 seeds among 352 nodes
+        w = gen_cdf(2, 16 if name == "cdf16" else 8, 64 if name == "cdf16" else 32, 3, 7)
+        ((_, seeds, _),) = plan_query(w.graph, validate_query(parse_query(w.query_text))).searches
+        if name == "cdf8_skewed":  # one queue per mask, and their lengths decide most pops
+            top, bottom = sorted(seeds.sets[0]), sorted(seeds.sets[1])
+            seeds = SeedSets([top, bottom[:1], bottom[-1:]])
+        return w.graph, seeds
     suite, index = name.split("_")
     index = int(index)
     if suite == "m456":
