@@ -15,9 +15,11 @@ re-root newly completed trees at their seeds to keep merge opportunities
 alive (``moesp``), and spare merge trees from pruning at well-connected
 nodes (``lesp``); ``molesp`` combines all three.
 
+Each family runs as one driver function whose queues, histories and merge
+partners are local variables: ``_run_generations`` and ``_rooted_search``.
 A rooted tree does not record how it was built: the pruned variants read
-only ``gained`` and ``path_anchor``, and a re-rooted copy goes straight to
-``merge_all``, so it is never queued for growing.
+only ``gained`` and ``path_anchor``, and a re-rooted copy is merged at once
+and never queued for growing.
 """
 
 from __future__ import annotations
@@ -128,17 +130,12 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
     return scored
 
 
-def _priority(t: RootedTree, e: int) -> tuple:
-    """Queue order of a grow pair: smaller trees first, ties broken canonically."""
-    return (len(t.key), t.key, t.root, e)
-
-
 # ---------------------------------------------------------------------------
 # Search state
 
 
 class SearchState:
-    """The bookkeeping both search drivers share; owned by a single execution."""
+    """The inputs and outputs both search drivers share; owned by a single execution."""
 
     def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
         if cfg.algorithm not in ALGORITHMS:
@@ -168,250 +165,6 @@ class SearchState:
         return self.deadline is not None and time.monotonic() > self.deadline
 
 
-class RootedState(SearchState):
-    """Adds the grow queues, the pruning history and the merge partners of rooted search."""
-
-    def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
-        super().__init__(g, seeds, cfg)
-        sizes = [len(seeds.sets[i]) for i in seeds.active]
-        self.multi_queue = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
-        # re-rooted copies break the root-reaches-all invariant of UNI trees
-        self.reroot_enabled = cfg.algorithm in ("moesp", "molesp") and not self.uni
-        self.edge_set_pruned = cfg.algorithm in EDGE_SET_PRUNED
-        self.spares_merges = cfg.algorithm in ("lesp", "molesp")
-
-        self.queues: dict[int, list[tuple]] = {}
-        self.hist: set = set()
-        # root -> covered mask -> [(record number, tree), ...] in record order
-        self.by_root: dict[int, dict[int, list[tuple[int, RootedTree]]]] = {}
-        self.records = 0
-        self.rooted_keys: set[tuple] = set()
-        self.signatures: dict[int, int] = {}
-
-    def push_pair(self, t: RootedTree, e: int, far: int, far_bits: int) -> None:
-        """Queue growing ``t`` by ``e`` to ``far``, as ``admissible_edges`` yielded them."""
-        bucket = t.covered if self.multi_queue else 0
-        # (key, root, e) is unique per pair, so entries never compare past e
-        heappush(self.queues.setdefault(bucket, []), _priority(t, e) + (t, far, far_bits))
-
-    def pop_pair(self) -> tuple[RootedTree, int, int, int] | None:
-        """Pop ``(t, e, far, far_bits)`` from the queue with the fewest pending
-        pairs (ties on the bucket), best entry first.
-
-        A drained queue is deleted, so a lone queue is taken without a scan.
-        """
-        queues = self.queues
-        if len(queues) == 1:
-            bucket = next(iter(queues))
-        elif queues:
-            _, bucket = min((len(q), b) for b, q in queues.items())
-        else:
-            return None
-        q = queues[bucket]
-        entry = heappop(q)
-        if not q:
-            del queues[bucket]
-        return entry[-3], entry[-4], entry[-2], entry[-1]
-
-
-# ---------------------------------------------------------------------------
-# Tree construction steps
-
-
-def admissible_edges(
-    state: SearchState, t: RootedTree | _GenTree, at: Iterable[int], incoming_only: bool = False
-) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(edge, far node, far node's seed bits)`` for every edge that may
-    extend ``t`` at one of the nodes ``at``, node by node in edge-id order.
-
-    The tree must be below the edge budget; the edge must pass the label
-    filter; its far endpoint must be a new node and must not be a seed from
-    an already covered set. ``incoming_only`` keeps only edges pointing into
-    the node: rooted search under UNI grows at the root this way, so every
-    tree stays a directed tree away from its root.
-    """
-    if state.max_edges is not None and len(t.key) >= state.max_edges:
-        return
-    g, labels_ok, bits = state.graph, state.labels_ok, state.seeds.node_bits.get
-    for n in at:
-        for e in g.incoming_edges(n) if incoming_only else g.adjacent_edges(n):
-            edge = g.edges[e]
-            if labels_ok is not None and edge.label not in labels_ok:
-                continue
-            far = edge.source if edge.target == n else edge.target
-            if far in t.nodes:
-                continue
-            far_bits = bits(far, 0)
-            if far_bits & t.covered:
-                continue
-            yield e, far, far_bits
-
-
-def try_grow(state: RootedState, t: RootedTree, e: int, far: int, far_bits: int) -> RootedTree | None:
-    """Extend ``t`` at its root with edge ``e`` to node ``far`` (seed bits
-    ``far_bits``), as ``admissible_edges`` admitted them.
-
-    Returns None, and builds nothing, when deduplication prunes the grown
-    tree. The far node's seed signature is updated either way.
-    """
-    key = tuple(sorted(t.key + (e,)))
-    anchor = None if far_bits else t.path_anchor
-    if anchor is not None:
-        # a nonempty root-ended path from a single seed marks its root as reached
-        state.signatures[far] = state.signatures.get(far, 0) | state.seeds.node_bits.get(anchor, 0)
-    if not is_new(state, key, far, merge=False):
-        state.stats.trees_pruned += 1
-        return None
-    # far's seed sets are not covered by t yet, so any seed bit is a gain
-    return RootedTree(key, far, t.nodes | {far}, t.covered | far_bits, anchor, far_bits != 0)
-
-
-def mergeable(state: SearchState, t1: RootedTree | _GenTree, t2: RootedTree | _GenTree) -> bool:
-    """Whether the union of two trees stays within the edge budget.
-
-    Each driver first keeps only partners that share the merge node alone and
-    whose covered seed sets overlap at most in that node's own seed bits. The
-    seed sets are tested first, on integer masks, since most partners fail
-    there (a set covered through two different nodes would put two of its
-    seeds in the union).
-    """
-    return state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges
-
-
-def _union(t1: RootedTree, t2: RootedTree, key: tuple[int, ...]) -> RootedTree:
-    """The merge of ``t1`` and ``t2`` at ``t1``'s root; ``key`` is their sorted edge union."""
-    covered = t1.covered | t2.covered
-    return RootedTree(
-        key=key,
-        root=t1.root,
-        nodes=t1.nodes | t2.nodes,
-        covered=covered,
-        gained=covered.bit_count() > max(t1.covered.bit_count(), t2.covered.bit_count()),
-    )
-
-
-def merge_partners(state: RootedState, t1: RootedTree) -> list[RootedTree]:
-    """The trees recorded at ``t1``'s root that ``t1`` may merge with, in record order.
-
-    A partner must have an edge, may share seed sets with ``t1`` only through
-    the root, must share no node but the root, and must pass ``mergeable``.
-    Only the covered-mask buckets with no clashing seed set are scanned;
-    the records of several buckets are sorted back into record order. The
-    list is a snapshot: merging records more trees at the root.
-    """
-    root, nodes = t1.root, t1.nodes
-    clash = t1.covered & ~state.seeds.node_bits.get(root, 0)
-    lists = [records for mask, records in state.by_root.get(root, {}).items() if not mask & clash]
-    records = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
-    return [t2 for _, t2 in records if t2.key and len(nodes & t2.nodes) == 1 and mergeable(state, t1, t2)]
-
-
-# ---------------------------------------------------------------------------
-# Deduplication and bookkeeping
-
-
-def is_new(state: RootedState, key: tuple[int, ...], root: int, merge: bool) -> bool:
-    """Decide whether a grown or merged tree would survive deduplication.
-
-    It is asked before the tree is built. Plain rooted search discards a
-    tree only when the identical rooted tree (same edge set and root) was
-    seen before. Edge-set pruning discards any tree whose edge set was seen
-    under any root. The limited variants spare a merge tree when its root
-    already has seed-rooted paths from three or more sets and three or more
-    adjacent graph edges, unless the identical rooted tree is already
-    recorded.
-    """
-    if not state.edge_set_pruned:
-        return (key, root) not in state.hist
-    if key not in state.hist:
-        return True
-    return (
-        state.spares_merges
-        and merge
-        and state.signatures.get(root, 0).bit_count() >= 3
-        and state.graph.degree(root) >= 3
-        and (key, root) not in state.rooted_keys
-    )
-
-
-def _record_result(state: SearchState, edges: tuple[int, ...], nodes: frozenset[int]) -> None:
-    """File a tree covering every seed set (``edges`` ascending); ``run_search`` builds the results."""
-    state.results.add((edges, tuple(sorted(nodes))))
-
-
-def record_for_merging(state: RootedState, t: RootedTree) -> None:
-    """Make ``t`` available as a merge partner; inject re-rooted copies.
-
-    When re-rooting is on and the step that built ``t`` covered strictly more
-    seed sets than each of its inputs, a copy of the tree rooted at every
-    other seed node is recorded and immediately merged; such copies merge
-    but never grow.
-    """
-    record_partner(state, t)
-    if not (state.reroot_enabled and t.gained):
-        return
-    for n in sorted(t.nodes):
-        if n == t.root or not state.seeds.bits(n):
-            continue
-        if (t.key, n) in state.rooted_keys:
-            continue
-        copy = RootedTree(t.key, n, t.nodes, t.covered)
-        state.stats.provenances_built += 1
-        record_partner(state, copy)
-        merge_all(state, copy)
-
-
-def record_partner(state: RootedState, t: RootedTree) -> None:
-    """File ``t`` as a merge partner at its root, after every earlier record."""
-    state.records += 1
-    entry = (state.records, t)
-    buckets = state.by_root.get(t.root)
-    if buckets is None:
-        state.by_root[t.root] = {t.covered: [entry]}
-    else:
-        buckets.setdefault(t.covered, []).append(entry)
-    state.rooted_keys.add((t.key, t.root))
-
-
-def process_tree(state: RootedState, t: RootedTree) -> bool:
-    """Report a tree that survived deduplication, or record it and queue its grow steps.
-
-    Returns True when the tree was recorded, so the caller merges it.
-    """
-    state.stats.provenances_built += 1
-    state.hist.add(t.key if state.edge_set_pruned else (t.key, t.root))
-    if t.covered == state.seeds.full_mask:
-        _record_result(state, t.key, t.nodes)
-        return False
-    record_for_merging(state, t)
-    for e, far, far_bits in admissible_edges(state, t, (t.root,), incoming_only=state.uni):
-        state.push_pair(t, e, far, far_bits)
-    return True
-
-
-def merge_all(state: RootedState, t: RootedTree) -> None:
-    """Merge ``t`` and every merge product against the recorded trees, to fixpoint."""
-    pending = [t]
-    while pending:
-        if state.deadline_passed():
-            return
-        current = pending
-        pending = []
-        for t1 in current:
-            for t2 in merge_partners(state, t1):
-                key = tuple(sorted(t1.key + t2.key))
-                if not is_new(state, key, t1.root, merge=True):
-                    state.stats.trees_pruned += 1
-                    continue
-                merged = _union(t1, t2, key)
-                if process_tree(state, merged):
-                    pending.append(merged)
-
-
-# ---------------------------------------------------------------------------
-# Rooted search driver
-
-
 def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
     """Every seed of the non-universal sets once, set by set, ascending."""
     started: set[int] = set()
@@ -425,36 +178,235 @@ def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
             yield s
 
 
-def init_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> RootedState:
-    """Create a search state with one start tree per seed of each non-universal set.
+# ---------------------------------------------------------------------------
+# Rooted search driver
 
-    A node belonging to several seed sets gets a single start tree covering
-    all of them at once. Start trees need no deduplication: their nodes are
-    distinct.
+
+def _rooted_search(state: SearchState) -> None:
+    """Run ``gam``, ``esp``, ``moesp``, ``lesp`` or ``molesp`` to exhaustion or deadline.
+
+    One start tree per seed (a node in several sets covers them all at
+    once) is settled first. Then the best grow pair is popped, and the tree
+    it grows is settled and merged, until the queues run dry.
+
+    * Grow: a pair ``(t, e)`` is queued when ``e`` may extend ``t`` at its
+      root: ``t`` is below ``MAX``, ``e`` passes ``LABEL`` (and points into
+      the root under ``UNI``), and its far node is new to ``t`` and no seed
+      of a set ``t`` covers. Pairs pop smallest tree first, ties broken on
+      ``(key, root, edge)``. With skewed seed sets there is one queue per
+      covered mask, and the queue with the fewest pairs (then the smallest
+      mask) is popped.
+    * Deduplicate: before a grown or merged tree is built, plain ``gam``
+      discards it when the same edge set under the same root was seen;
+      the pruned variants discard any edge set seen under any root. The
+      limited variants spare a merge tree whose root already has
+      seed-rooted paths from three or more sets and three or more adjacent
+      edges, unless that rooted tree is recorded already. A pruned step
+      builds nothing and is counted in ``trees_pruned``.
+    * Settle: a built tree is counted in ``provenances_built``; if it
+      covers every set it is a result, otherwise it is recorded as a merge
+      partner at its root and its grow pairs are queued. Under re-rooting,
+      a tree whose step covered strictly more sets than each input is also
+      copied to every other seed node in it; a copy is recorded and merged
+      at once, and never grows.
+    * Merge: a recorded tree merges, round by round to a fixpoint, with
+      the trees recorded at its root before the scan started, in record
+      order. A partner has an edge, shares no node but the root, covers no
+      set the tree covers other than through the root, and keeps the union
+      within ``MAX``.
+
+    The deadline is checked before every pop and every merge round.
     """
-    state = RootedState(g, seeds, cfg)
-    for s in _start_nodes(g, seeds):
-        state.signatures[s] = state.signatures.get(s, 0) | seeds.bits(s)
-        process_tree(state, RootedTree((), s, frozenset((s,)), seeds.bits(s), path_anchor=s))
-    return state
+    g, seeds, stats, results = state.graph, state.seeds, state.stats, state.results
+    algorithm, uni, labels_ok, max_edges, deadline = (
+        state.cfg.algorithm, state.uni, state.labels_ok, state.max_edges, state.deadline
+    )
+    edges, full_mask, bits = g.edges, seeds.full_mask, seeds.node_bits.get
+    around = g.incoming_edges if uni else g.adjacent_edges
+    sizes = [len(seeds.sets[i]) for i in seeds.active]
+    multi_queue = max(sizes) >= MULTI_QUEUE_RATIO * min(sizes)
+    # re-rooted copies break the root-reaches-all invariant of UNI trees
+    reroot = algorithm in ("moesp", "molesp") and not uni
+    edge_set_pruned = algorithm in EDGE_SET_PRUNED
+    spares_merges = algorithm in ("lesp", "molesp")
 
+    # grow pairs (len(key), key, root, edge, tree, far node, far seed bits);
+    # (key, root, edge) is unique, so entries never compare past the edge
+    heap: list[tuple] = []
+    queues: dict[int, list[tuple]] = {}  # covered mask -> pairs, when multi_queue
+    hist: set = set()  # edge sets seen (with their root under gam)
+    # root -> covered mask -> [(record number, tree), ...] in record order
+    by_root: dict[int, dict[int, list[tuple[int, RootedTree]]]] = {}
+    rooted_keys: set[tuple[tuple[int, ...], int]] = set()  # (key, root) of every record
+    signatures: dict[int, int] = {}  # node -> sets whose seed-rooted paths reached it
+    next_record = count().__next__
 
-def _drain(state: RootedState) -> None:
-    while True:
-        if state.deadline_passed():
-            state.stats.timed_out = True
-            return
-        entry = state.pop_pair()
-        if entry is None:
-            return
-        state.stats.queue_pops += 1
-        grown = try_grow(state, *entry)
-        if grown is not None and process_tree(state, grown):
-            merge_all(state, grown)
+    def settle(t: RootedTree) -> bool:
+        """Count ``t``; file it as a result, or record it, merge its copies
+        and queue its grow pairs. True when it was recorded."""
+        key, root, nodes, covered, _, gained = t
+        stats.provenances_built += 1
+        hist.add(key if edge_set_pruned else (key, root))
+        if covered == full_mask:
+            results.add((key, tuple(sorted(nodes))))
+            return False
+        entry = (next_record(), t)
+        buckets = by_root.get(root)
+        if buckets is None:
+            by_root[root] = {covered: [entry]}
+        else:
+            buckets.setdefault(covered, []).append(entry)
+        rooted_keys.add((key, root))
+        if reroot and gained:
+            for n in sorted(nodes):
+                if n == root or not bits(n) or (key, n) in rooted_keys:
+                    continue
+                copy = RootedTree(key, n, nodes, covered)
+                stats.provenances_built += 1
+                by_root.setdefault(n, {}).setdefault(covered, []).append((next_record(), copy))
+                rooted_keys.add((key, n))
+                merge(copy)
+        if max_edges is not None and len(key) >= max_edges:
+            return True
+        size = len(key)
+        for e in around(root):
+            _, source, target, label = edges[e]
+            if labels_ok is not None and label not in labels_ok:
+                continue
+            far = source if target == root else target
+            if far in nodes:
+                continue
+            far_bits = bits(far, 0)
+            if far_bits & covered:
+                continue
+            queue = queues.setdefault(covered, []) if multi_queue else heap
+            heappush(queue, (size, key, root, e, t, far, far_bits))
+        return True
+
+    def merge(t: RootedTree) -> None:
+        """Merge ``t`` and every merge product with the recorded trees, to fixpoint."""
+        pending = [t]
+        while pending:
+            if deadline is not None and time.monotonic() > deadline:
+                return
+            current, pending = pending, []
+            for t1 in current:
+                key1, root, nodes1, covered1, _, _ = t1
+                clash = covered1 & ~bits(root, 0)
+                lists = [records for mask, records in by_root[root].items() if not mask & clash]
+                # a snapshot: merging records more trees at the root
+                partners = lists[0][:] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+                room = None if max_edges is None else max_edges - len(key1)
+                for _, t2 in partners:
+                    key2, _, nodes2, covered2, _, _ = t2
+                    if not key2 or len(nodes1 & nodes2) != 1 or (room is not None and len(key2) > room):
+                        continue
+                    key = tuple(sorted(key1 + key2))
+                    if not edge_set_pruned:
+                        pruned = (key, root) in hist
+                    else:
+                        pruned = key in hist and not (
+                            spares_merges
+                            and signatures.get(root, 0).bit_count() >= 3
+                            and g.degree(root) >= 3
+                            and (key, root) not in rooted_keys
+                        )
+                    if pruned:
+                        stats.trees_pruned += 1
+                        continue
+                    # each input holds a seed besides the root, of a set the other
+                    # does not cover, so a merge always gains
+                    merged = RootedTree(key, root, nodes1 | nodes2, covered1 | covered2, None, True)
+                    if settle(merged):
+                        pending.append(merged)
+
+    try:
+        for s in _start_nodes(g, seeds):
+            signatures[s] = signatures.get(s, 0) | bits(s)
+            settle(RootedTree((), s, frozenset((s,)), bits(s), s))
+        while True:
+            if deadline is not None and time.monotonic() > deadline:
+                stats.timed_out = True
+                return
+            if not multi_queue:
+                if not heap:
+                    return
+                _, key, _, e, t, far, far_bits = heappop(heap)
+            elif queues:
+                # the queue with the fewest pending pairs; a drained queue is deleted
+                if len(queues) == 1:
+                    bucket = next(iter(queues))
+                else:
+                    _, bucket = min((len(q), b) for b, q in queues.items())
+                q = queues[bucket]
+                _, key, _, e, t, far, far_bits = heappop(q)
+                if not q:
+                    del queues[bucket]
+            else:
+                return
+            stats.queue_pops += 1
+            _, _, nodes, covered, anchor, _ = t
+            key = tuple(sorted(key + (e,)))
+            if far_bits:
+                anchor = None
+            elif anchor is not None:
+                # a nonempty root-ended path from a single seed marks its root as reached
+                signatures[far] = signatures.get(far, 0) | bits(anchor)
+            # a grown tree is never spared
+            if (key in hist) if edge_set_pruned else ((key, far) in hist):
+                stats.trees_pruned += 1
+                continue
+            # far's seed sets are not covered by t yet, so any seed bit is a gain
+            grown = RootedTree(key, far, nodes | {far}, covered | far_bits, anchor, far_bits != 0)
+            if settle(grown):
+                merge(grown)
+    finally:
+        # settle and merge call each other: clear their cells, or every
+        # search would leave a reference cycle for the garbage collector
+        del settle, merge
 
 
 # ---------------------------------------------------------------------------
 # Generation-based driver
+
+
+def admissible_edges(state: SearchState, t: _GenTree, at: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(edge, far node, far node's seed bits)`` for every edge that may
+    extend ``t`` at one of the nodes ``at``, node by node in edge-id order.
+
+    The tree must be below the edge budget; the edge must pass the label
+    filter; its far endpoint must be a new node and must not be a seed from
+    an already covered set. The rooted driver applies the same test inline
+    at the root.
+    """
+    if state.max_edges is not None and len(t.key) >= state.max_edges:
+        return
+    edges, labels_ok, bits = state.graph.edges, state.labels_ok, state.seeds.node_bits.get
+    adjacent = state.graph.adjacent_edges
+    for n in at:
+        for e in adjacent(n):
+            _, source, target, label = edges[e]
+            if labels_ok is not None and label not in labels_ok:
+                continue
+            far = source if target == n else target
+            if far in t.nodes:
+                continue
+            far_bits = bits(far, 0)
+            if far_bits & t.covered:
+                continue
+            yield e, far, far_bits
+
+
+def mergeable(state: SearchState, t1: _GenTree, t2: _GenTree) -> bool:
+    """Whether the union of two trees stays within the edge budget.
+
+    The driver first keeps only partners that share the merge node alone and
+    whose covered seed sets overlap at most in that node's own seed bits. The
+    seed sets are tested first, on integer masks, since most partners fail
+    there (a set covered through two different nodes would put two of its
+    seeds in the union).
+    """
+    return state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges
 
 
 def _submasks(mask: int):
@@ -501,7 +453,7 @@ def _run_generations(state: SearchState) -> None:
             return
         # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
         minimize(g, t.key, seeds)
-        _record_result(state, t.key, t.nodes)
+        state.results.add((t.key, tuple(sorted(t.nodes))))
 
     def keep(t: _GenTree) -> bool:
         """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
@@ -575,9 +527,9 @@ def _run_generations(state: SearchState) -> None:
                     continue
                 memory.add(ebits)
                 far_bit = bit_of.setdefault(far, 1 << len(bit_of))
-                edge = edges[e]
+                _, source, target, _ = edges[e]
                 # the near end stops being a leaf; a start tree's only node is a seed
-                loose = t.loose & ~bit_of[edge.source if edge.target == far else edge.target]
+                loose = t.loose & ~bit_of[source if target == far else target]
                 grown = _GenTree(
                     tuple(sorted(t.key + (e,))),
                     t.nodes | {far},
@@ -607,12 +559,11 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
     under UNI and is its smallest node otherwise; it fills every universal
     seed-set cell. A timeout is a normal outcome flagged in ``stats.timed_out``.
     """
+    state = SearchState(g, seeds, cfg)
     if cfg.algorithm in GENERATION_ALGORITHMS:
-        state = SearchState(g, seeds, cfg)
         _run_generations(state)
     else:
-        state = init_search(g, seeds, cfg)
-        _drain(state)
+        _rooted_search(state)
     results = []
     for edges, nodes in state.results:
         if state.uni and edges:

@@ -73,13 +73,25 @@ def test_run_uni_query_serializes_root(tmp_path, fig1_files, capsys):
 @pytest.mark.parametrize("algo", ["molesp", "bft"])
 def test_unknown_score_is_rejected_before_searching(tmp_path, fig1_files, capsys, monkeypatch, algo):
     entered = []
-    monkeypatch.setattr(search, "_drain", lambda *a: entered.append("rooted"))
+    monkeypatch.setattr(search, "_rooted_search", lambda *a: entered.append("rooted"))
     monkeypatch.setattr(search, "_run_generations", lambda *a: entered.append("generations"))
     text = '(?w) :- (?a[label = "Elon"], ?b[label = "Doug"], TREE ?w) SCORE bogus'
     code, captured = _run_query(tmp_path, fig1_files, capsys, text, "--algo", algo)
     assert code == EXIT_ERROR
     assert "unknown score function 'bogus'" in captured.err
     assert entered == []
+
+
+@pytest.mark.parametrize("bad_file", ["nodes.tsv", "edges.tsv"])
+def test_run_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, fig1_files, capsys, bad_file):
+    path = tmp_path / bad_file
+    lines = path.read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    code, captured = _run_query(tmp_path, fig1_files, capsys, Q1_TEXT)
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {bad_file} line 2: not valid UTF-8\n"
+    assert captured.out == ""
 
 
 def test_run_tsv_output(tmp_path, fig1_files, capsys):

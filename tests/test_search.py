@@ -2,345 +2,408 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from treeq import search
 from treeq.graph import Graph
 from treeq.lang import CtpFilters
-from treeq.search import (
-    ALGORITHMS,
-    RootedTree,
-    SearchConfig,
-    _drain,
-    admissible_edges,
-    apply_score_topk,
-    guaranteed_found,
-    init_search,
-    _union,
-    is_new,
-    merge_all,
-    merge_partners,
-    process_tree,
-    record_for_merging,
-    record_partner,
-    run_search,
-    try_grow,
-)
+from treeq.search import ALGORITHMS, SearchConfig, apply_score_topk, guaranteed_found, run_search
 from treeq.synth import gen_chain, gen_random_instance
 from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
 
 from conftest import make_graph
 from oracles import brute_ctp, oracle_identities, post_filter_identities, reaches_all, result_identities
 
-
-def _tree(key, root, nodes, covered, gained=False):
-    return RootedTree(tuple(sorted(key)), root, frozenset(nodes), covered, None, gained)
+ROOTED = ("gam", "esp", "moesp", "lesp", "molesp")
 
 
-def _root_edges(state, t):
-    return [e for e, _, _ in admissible_edges(state, t, (t.root,))]
-
-
-def _grow(state, t, e):
-    """``try_grow`` on edge ``e`` at ``t``'s root, with the far node that ``admissible_edges`` yields."""
-    ((far, far_bits),) = [(f, b) for x, f, b in admissible_edges(state, t, (t.root,)) if x == e]
-    return try_grow(state, t, e, far, far_bits)
-
-
-def _pending_pairs(state):
-    return sum(len(q) for q in state.queues.values())
-
-
-def _recorded(state, root=None):
-    """The merge partners recorded at ``root`` (at any root when None), in record order."""
-    entries = sorted(entry for buckets in state.by_root.values() for records in buckets.values() for entry in records)
-    return [t for _, t in entries if root is None or t.root == root]
-
-
-class _RootedSpy:
-    """Collects the trees handed to ``process_tree``, ``record_partner``,
-    ``try_grow`` and ``RootedState.push_pair`` while rooted search runs."""
+class _Trace:
+    """Records rooted search through the names ``_rooted_search`` looks up
+    when it runs: every tree it builds (``RootedTree``), every grow pair it
+    queues (``heappush``) and every pair it pops (``heappop``), in order."""
 
     def __init__(self, monkeypatch):
-        self.processed, self.recorded, self.grown, self.queued = [], [], [], []
-        for owner, name, seen in (
-            (search, "process_tree", self.processed),
-            (search, "record_partner", self.recorded),
-            (search, "try_grow", self.grown),
-            (search.RootedState, "push_pair", self.queued),
-        ):
-            monkeypatch.setattr(owner, name, self._wrap(getattr(owner, name), seen))
+        self.events: list[tuple] = []
+        tree, push, pop = search.RootedTree, search.heappush, search.heappop
 
-    @staticmethod
-    def _wrap(fn, seen):
-        def spy(state, t, *rest):
-            seen.append(t)
-            return fn(state, t, *rest)
+        def built(*fields):
+            t = tree(*fields)
+            self.events.append(("built", t))
+            return t
 
-        return spy
+        def queued(queue, entry):
+            self.events.append(("queued", queue, entry))
+            push(queue, entry)
+
+        def popped(queue):
+            entry = pop(queue)
+            self.events.append(("popped", entry))
+            return entry
+
+        monkeypatch.setattr(search, "RootedTree", built)
+        monkeypatch.setattr(search, "heappush", queued)
+        monkeypatch.setattr(search, "heappop", popped)
+
+    def run(self, g, seeds, algorithm, **filters):
+        self.events.clear()
+        self.seeds = seeds
+        return run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=CtpFilters(**filters)))
+
+    @property
+    def built(self):
+        return [ev[1] for ev in self.events if ev[0] == "built"]
+
+    @property
+    def queued(self):
+        """``(tree, edge)`` of every queued grow pair."""
+        return [(ev[2][4], ev[2][3]) for ev in self.events if ev[0] == "queued"]
+
+    def queued_edges(self, key, root):
+        return [e for t, e in self.queued if (t.key, t.root) == (key, root)]
+
+    @property
+    def steps(self):
+        """``(tree, edge, grown tree or None when pruned)`` of every pop: the
+        grown tree is the first tree built after the pop."""
+        steps = []
+        for i, ev in enumerate(self.events):
+            if ev[0] == "popped":
+                nxt = next((later for later in self.events[i + 1 :] if later[0] != "queued"), None)
+                grown = nxt[1] if nxt is not None and nxt[0] == "built" else None
+                steps.append((ev[1][4], ev[1][3], grown))
+        return steps
+
+    def later_trees(self):
+        """``(index, tree)`` of the built trees that are neither start trees nor grown."""
+        grown = [id(t) for _, _, t in self.steps if t is not None]
+        return [(i, t) for i, t in enumerate(self.built) if t.key and id(t) not in grown]
 
     def copies(self):
-        """The merge partners filed without passing ``process_tree``: the re-rooted copies."""
-        return [t for t in self.recorded if not any(t is p for p in self.processed)]
+        """The re-rooted copies: later trees whose edge set was built before.
+
+        Only valid where no merge tree is spared (no spare under ``gam``,
+        ``esp`` and ``moesp``; none either without three seed sets meeting
+        at a node of degree three or more).
+        """
+        built = self.built
+        return [t for i, t in self.later_trees() if any(p.key == t.key for p in built[:i])]
+
+    def merge_inputs(self, i):
+        """Two trees recorded before ``built[i]`` at its root whose merge it is, or None."""
+        t, full = self.built[i], self.seeds.full_mask
+        here = [p for p in self.built[:i] if p.root == t.root and p.key and p.covered != full]
+        for a, p1 in enumerate(here):
+            for p2 in here[a + 1 :]:
+                if (
+                    tuple(sorted(p1.key + p2.key)) == t.key
+                    and p1.nodes & p2.nodes == {t.root}
+                    and p1.nodes | p2.nodes == t.nodes
+                ):
+                    return p1, p2
+        return None
 
 
-def _merge(state, t1, t2):
-    """Merge ``t1`` with ``t2`` as the only tree recorded anywhere; None when refused."""
-    state.by_root = {}
-    record_partner(state, t2)
-    partners = merge_partners(state, t1)
-    assert partners in ([], [t2])
-    return _union(t1, t2, tuple(sorted(t1.key + t2.key))) if partners else None
+def _check_trace(trace, g, seeds, algorithm, **filters):
+    """Run the search and check every tree it built against the step rules."""
+    results, stats = trace.run(g, seeds, algorithm, **filters)
+    built, bits, full = trace.built, seeds.bits, seeds.full_mask
+    assert len(built) == stats.provenances_built
+    max_edges, labels = filters.get("max_edges"), filters.get("labels")
+    for t in built:
+        # a tree: connected by its edges, with one node more than edges
+        reached, frontier = {t.root}, [t.root]
+        while frontier:
+            n = frontier.pop()
+            for e in t.key:
+                _, source, target, _ = g.edges[e]
+                far = target if source == n else source if target == n else None
+                if far is not None and far not in reached:
+                    reached.add(far)
+                    frontier.append(far)
+        assert reached == t.nodes and len(t.nodes) == len(t.key) + 1
+        # one seed of each covered set and no other
+        assert sum(bits(n).bit_count() for n in t.nodes) == t.covered.bit_count()
+        assert max_edges is None or len(t.key) <= max_edges
+        assert labels is None or all(g.edges[e].label in labels for e in t.key)
+    for i, t in trace.later_trees():
+        inputs = trace.merge_inputs(i)
+        if inputs is None:  # a re-rooted copy of a tree whose step gained a set
+            assert algorithm in ("moesp", "molesp") and bits(t.root)
+            assert any(p.key == t.key and p.nodes == t.nodes and p.gained and p.root != t.root for p in built[:i])
+            continue
+        p1, p2 = inputs
+        assert t.covered == p1.covered | p2.covered
+        assert (p1.covered & p2.covered) & ~bits(t.root) == 0
+        assert t.gained == (t.covered.bit_count() > max(p1.covered.bit_count(), p2.covered.bit_count()))
+    assert {(t.key, tuple(sorted(t.nodes))) for t in built if t.covered == full} == {
+        (rt.edges, rt.nodes) for rt in results
+    }
+    return results, stats
+
+
+def _random_instances(rng_seed, count, m_choices=(2, 3)):
+    rng = random.Random(rng_seed)
+    for _ in range(count):
+        yield gen_random_instance(rng, max_nodes=9, max_edges=13, n_labels=2, m=rng.choice(m_choices), max_set_size=2)
 
 
 # ---------------------------------------------------------------------------
 # start trees
 
 
-def test_init_creates_one_tree_per_seed(path_abc):
+def test_init_creates_one_tree_per_seed(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert sorted(state.by_root) == [1, 4, 6]
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    starts = [t for t in trace.built if not t.key]
+    assert [(t.root, t.nodes, t.covered, t.path_anchor) for t in starts] == [
+        (1, {1}, 0b001, 1), (4, {4}, 0b010, 4), (6, {6}, 0b100, 6)
+    ]
+    assert trace.built[:3] == starts  # built before any grow step
     # queued grow pairs: one for A, two for B, one for C
-    assert _pending_pairs(state) == 4
+    assert sorted((t.root, e) for t, e in trace.queued if not t.key) == [(1, 1), (4, 3), (4, 4), (6, 5)]
 
 
-def test_init_same_node_in_two_sets_is_a_result(path_abc):
+def test_init_same_node_in_two_sets_is_a_result(path_abc, monkeypatch):
     g, _ = path_abc
     seeds = SeedSets([(1,), (1,)])
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert len(state.results) == 1
-    (rt,), _ = run_search(g, seeds, SearchConfig(algorithm="molesp"))
+    trace = _Trace(monkeypatch)
+    (rt,), _ = trace.run(g, seeds, "molesp")
+    assert [(t.key, t.root, t.covered) for t in trace.built] == [((), 1, 0b11)]
+    assert trace.queued == []  # a result is never grown
     assert rt.edges == () and rt.seed_tuple == (1, 1)
 
 
-def test_init_skips_universal_sets(path_abc):
+def test_init_skips_universal_sets(path_abc, monkeypatch):
     g, _ = path_abc
     seeds = SeedSets([(1,), ()], universal=[False, True])
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert sorted(state.by_root) == []  # the single start tree was already a result
-    assert len(state.results) == 1
-    (rt,), _ = run_search(g, seeds, SearchConfig(algorithm="molesp"))
+    trace = _Trace(monkeypatch)
+    (rt,), _ = trace.run(g, seeds, "molesp")
+    assert [(t.key, t.root) for t in trace.built] == [((), 1)]  # the single start tree is a result
+    assert trace.queued == []
     assert rt.seed_tuple == (1, 1)  # the universal set is represented by the root
 
 
 def test_all_universal_rejected(path_abc):
     g, _ = path_abc
     seeds = SeedSets([(), ()], universal=[True, True])
-    with pytest.raises(SeedSetError):
-        init_search(g, seeds, SearchConfig())
+    for algorithm in ("molesp", "bft"):
+        with pytest.raises(SeedSetError):
+            run_search(g, seeds, SearchConfig(algorithm=algorithm))
 
 
 # ---------------------------------------------------------------------------
 # grow steps
 
 
-def test_grow_b_with_adjacent_edge(path_abc):
+def test_grow_b_with_adjacent_edge(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    init_b = _recorded(state, 4)[0]
-    grown = _grow(state, init_b, 4)  # edge B -> "3"
-    assert grown is not None
-    assert grown.key == (4,) and grown.root == 5
-    assert grown.covered == init_b.covered
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    ((init_b, grown),) = [(t, new) for t, e, new in trace.steps if (t.key, t.root, e) == ((), 4, 4)]  # B -> "3"
+    assert grown == ((4,), 5, frozenset({4, 5}), init_b.covered, 4, False)
 
 
-def test_grow_rejects_node_already_in_tree(path_abc):
+def test_grow_rejects_node_already_in_tree(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t = _tree((1,), 2, {1, 2}, 0b001)
-    assert _root_edges(state, t) == [2]  # edge 1 leads back to A
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    assert trace.queued_edges((1,), 2) == [2]  # edge 1 leads back to A
 
 
-def test_grow_rejects_seed_from_covered_set(path_abc):
+def test_grow_rejects_seed_from_covered_set(path_abc, monkeypatch):
     g, _ = path_abc
     seeds = SeedSets([(1,), (4, 6)])  # B and C in one set
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t = _tree((4,), 5, {4, 5}, 0b010)  # contains B, covered set 2
-    assert _root_edges(state, t) == []  # edge 5 would reach C, same set
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    assert ((4,), 5, frozenset({4, 5}), 0b10) in [t[:4] for t in trace.built]  # holds B
+    assert trace.queued_edges((4,), 5) == []  # edge 5 would reach C, same set
 
 
-def test_grow_respects_max_edges_and_labels(path_abc):
+def test_grow_respects_max_edges_and_labels(path_abc, monkeypatch):
     g, seeds = path_abc
-    cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=1))
-    state = init_search(g, seeds, cfg)
-    t = _tree((1,), 2, {1, 2}, 0b001)
-    assert _root_edges(state, t) == []  # edge 2 would exceed MAX 1
-    cfg2 = SearchConfig(algorithm="molesp", filters=CtpFilters(labels=frozenset({"zzz"})))
-    state2 = init_search(g, seeds, cfg2)
-    init_a = _recorded(state2, 1)[0]
-    assert _root_edges(state2, init_a) == []
-    assert not any(state2.queues.values())
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp", max_edges=1)
+    assert ((1,), 2) in [(t.key, t.root) for t in trace.built]
+    assert trace.queued and all(not t.key for t, _ in trace.queued)  # a second edge would exceed MAX 1
+    trace.run(g, seeds, "molesp", labels=frozenset({"zzz"}))
+    assert trace.queued == []
+    assert all(not t.key for t in trace.built)
 
 
 def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     g, seeds = path_abc
-    spy = _RootedSpy(monkeypatch)
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    _drain(state)
-    copies = spy.copies()
-    assert copies and spy.grown
-    assert not any(t is c for t in spy.grown for c in copies)
+    assert max(g.degree(n) for n in g.nodes) < 3  # no merge tree is spared
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    copies, steps = trace.copies(), trace.steps
+    assert copies and steps
+    assert not any(t is c for t, _, _ in steps for c in copies)
     # each copy is filed at a seed of the tree it copies, never as a result
-    assert all(seeds.bits(c.root) and c.covered != seeds.full_mask for c in copies)
+    assert all(seeds.bits(c.root) and c.root in c.nodes and c.covered != seeds.full_mask for c in copies)
 
 
 # ---------------------------------------------------------------------------
 # merge steps
 
 
-def test_merge_at_shared_root(path_abc):
+def test_merge_at_shared_root(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    left = _tree((4,), 5, {4, 5}, 0b010)   # B-3 rooted "3"
-    right = _tree((5,), 5, {5, 6}, 0b100)  # C-3 rooted "3"
-    merged = _merge(state, left, right)
-    assert merged is not None
-    assert merged.key == (4, 5) and merged.root == 5
-    assert merged.covered == 0b110
-    assert merged.gained
+    trace = _Trace(monkeypatch)
+    _check_trace(trace, g, seeds, "molesp")
+    merged = ((4, 5), 5, frozenset({4, 5, 6}), 0b110, None, True)  # B-3 and C-3, both rooted "3"
+    i = trace.built.index(merged)
+    assert {(t.key, t.root) for t in trace.merge_inputs(i)} == {((4,), 5), ((5,), 5)}
 
 
-def test_merge_rejects_different_roots(path_abc):
-    g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert _merge(state, _tree((4,), 5, {4, 5}, 0b010), _tree((5,), 6, {5, 6}, 0b100)) is None
+def test_merge_rejects_different_roots(monkeypatch):
+    # every merge tree is the union of two trees recorded at its own root
+    trace = _Trace(monkeypatch)
+    for g, seeds in _random_instances(8080, 12):
+        for algorithm in ROOTED:
+            _check_trace(trace, g, seeds, algorithm)
 
 
-def test_merge_rejects_two_seeds_from_one_set(path_abc):
+def test_merge_rejects_two_seeds_from_one_set(path_abc, monkeypatch):
     g, _ = path_abc
     seeds = SeedSets([(1, 6), (4,)])
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)          # holds seed A
-    t2 = _tree((3, 4, 5), 3, {3, 4, 5, 6}, 0b011)    # holds B and the other set-1 seed C
-    assert _merge(state, t1, t2) is None
+    trace = _Trace(monkeypatch)
+    for algorithm in ROOTED:
+        results, _ = _check_trace(trace, g, seeds, algorithm)
+        assert not any({1, 6} <= t.nodes for t in trace.built), algorithm  # A and C share a set
+        assert {rt.edges for rt in results} == {(1, 2, 3), (4, 5)}, algorithm
 
 
-def test_merge_allows_overlap_through_shared_seed_root(path_abc):
+def test_merge_allows_overlap_through_shared_seed_root(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t1 = _tree((1, 2, 3), 4, {1, 2, 3, 4}, 0b011)  # A-1-2-B rooted B
-    t2 = _tree((4, 5), 4, {4, 5, 6}, 0b110)        # B-3-C rooted B
-    merged = _merge(state, t1, t2)
-    assert merged is not None
-    assert merged.covered == 0b111  # one B seed, shared through the root
+    trace = _Trace(monkeypatch)
+    _check_trace(trace, g, seeds, "gam")
+    # A-1-2-B and B-3-C, both rooted B: one B seed, shared through the root
+    i = [(t.key, t.root) for t in trace.built].index(((1, 2, 3, 4, 5), 4))
+    p1, p2 = trace.merge_inputs(i)
+    assert {(p1.key, p1.covered), (p2.key, p2.covered)} == {((1, 2, 3), 0b011), ((4, 5), 0b110)}
+    assert trace.built[i].covered == 0b111
 
 
-def test_merge_rejects_extra_shared_nodes(path_abc):
-    g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)
-    t2 = _tree((2, 3), 3, {2, 3, 4}, 0b010)  # shares node 2 besides root 3
-    assert _merge(state, t1, t2) is None
+def test_merge_rejects_extra_shared_nodes(fig1, monkeypatch):
+    # fig1 has cycles, so trees at one root often share nodes besides it;
+    # _check_trace finds every built tree to be a tree
+    trace = _Trace(monkeypatch)
+    for algorithm in ROOTED:
+        _check_trace(trace, fig1, SeedSets([(2, 4), (3, 6), (9,)]), algorithm)
+        assert trace.later_trees(), algorithm
 
 
-def test_merge_partners_filter_recorded_trees_in_record_order():
-    # star around node 1; A = {2}, B = {3, 4}; edge i joins leaf i + 1 to node 1
-    g = make_graph(["x", "A", "B", "B", "1", "2"], [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1)])
-    seeds = SeedSets([(2,), (3, 4)])
-    t1 = _tree((2, 4), 1, {1, 3, 5}, 0b10)  # B via 3, plus leaf 5
-    d = _tree((1,), 1, {1, 2}, 0b01)         # A: merges
-    b = _tree((3,), 1, {1, 4}, 0b10)         # B via another seed: clash
-    c = _tree((4,), 1, {1, 5}, 0)            # shares leaf 5 besides the root
-    a = _tree((5,), 1, {1, 6}, 0)            # merges
-    e = _tree((1, 5), 1, {1, 2, 6}, 0b01)    # merges within budget 4, not 3
-    both = _tree((1, 2), 1, {1, 2, 3}, 0b11)  # clashes with every bucket but mask 0
-    recorded = [_tree((), 1, {1}, 0), d, b, c, a, e]
-    for max_edges, expected in ((None, [d, a, e]), (4, [d, a, e]), (3, [d, a])):
-        cfg = SearchConfig(algorithm="molesp", filters=CtpFilters(max_edges=max_edges))
-        state = init_search(g, seeds, cfg)
-        state.by_root = {}
-        for t in recorded:
-            record_partner(state, t)
-        assert len(state.by_root[1]) == 3  # buckets of masks 0, 0b01 and 0b10
-        assert merge_partners(state, t1) == expected, max_edges
-        assert merge_partners(state, both) == [c, a], max_edges
-        assert _recorded(state) == recorded
+def test_merge_partners_filter_recorded_trees_in_record_order(monkeypatch):
+    # star around x = node 1; edge i joins leaf i + 1 to x. The start trees
+    # grow to x in node order, so the trees recorded at x before A's are
+    # B2 (rec 1), C3 (2), B2C3 (3), B4 (4), C3B4 (5): record order is not
+    # the order of their covered-mask buckets
+    g = make_graph(["x", "B", "C", "B", "A"], [(2, 1), (3, 1), (4, 1), (5, 1)])
+    seeds = SeedSets([(5,), (2, 4), (3,)])
+    trace = _Trace(monkeypatch)
+    for max_edges, expected in ((None, [(1, 4), (2, 4), (1, 2, 4), (3, 4), (2, 3, 4)]), (2, [(1, 4), (2, 4), (3, 4)])):
+        _check_trace(trace, g, seeds, "gam", max_edges=max_edges)
+        keys = [t.key for t in trace.built]
+        after_a = keys[keys.index((4,)) + 1 :]
+        assert after_a[: len(expected)] == expected, max_edges
+        assert all(t.root == 1 for t in trace.built[keys.index((4,)) + 1 :][: len(expected)])
 
 
-def test_merge_covered_algebra(path_abc):
-    g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    t1 = _tree((1, 2), 3, {1, 2, 3}, 0b001)
-    t2 = _tree((3,), 3, {3, 4}, 0b010)
-    merged = _merge(state, t1, t2)
-    assert merged.covered == t1.covered | t2.covered
-    assert (t1.covered & t2.covered) & ~state.seeds.bits(3) == 0
+def test_merge_covered_algebra(fig1, monkeypatch):
+    # _check_trace: a merge tree covers the union of its inputs' sets, which
+    # overlap only in the root's own seed bits, and gains when the union is larger
+    trace = _Trace(monkeypatch)
+    for seeds in (SeedSets([(2, 4), (3, 6), (9,)]), SeedSets([(2, 3), (3, 6), (9, 2)])):
+        for algorithm in ROOTED:
+            _check_trace(trace, fig1, seeds, algorithm)
 
 
 # ---------------------------------------------------------------------------
 # deduplication
 
 
-def test_edge_set_pruning_discards_second_root(path_abc):
+def test_edge_set_pruning_discards_second_root(path_abc, monkeypatch):
     g, seeds = path_abc
-    for algo, expected in (("esp", False), ("moesp", False), ("gam", True)):
-        state = init_search(g, seeds, SearchConfig(algorithm=algo))
-        first = _tree((1, 2), 3, {1, 2, 3}, 0b001)
-        assert process_tree(state, first) is True
-        second = _tree((1, 2), 2, {1, 2, 3}, 0b001)
-        assert is_new(state, second.key, second.root, merge=False) is expected, algo
+    trace = _Trace(monkeypatch)
+    for algorithm in ("gam", "esp", "moesp"):
+        trace.run(g, seeds, algorithm)
+        copies = trace.copies() if algorithm == "moesp" else []
+        keys = [t.key for t in trace.built if t.key and not any(t is c for c in copies)]
+        if algorithm == "gam":
+            # B-3-C grown to "3", to C and to B: one edge set under three roots
+            assert sorted(t.root for t in trace.built if t.key == (4, 5)) == [4, 5, 6]
+        else:
+            assert len(keys) == len(set(keys)), algorithm
 
 
-def test_spare_condition_rescues_merge_trees(tee_abc):
+def test_spare_condition_rescues_merge_trees(tee_abc, monkeypatch):
     g, seeds = tee_abc
-    for algo, expected in (("lesp", True), ("molesp", True), ("esp", False), ("moesp", False)):
-        state = init_search(g, seeds, SearchConfig(algorithm=algo))
-        state.hist.add((1, 2, 4, 6))  # A-1-x-3-C seen under some other root
-        state.signatures[3] = 0b111  # three seed-rooted paths reached x
-        assert g.degree(3) >= 3
-        spared = _tree((1, 2, 4, 6), 3, {1, 2, 3, 6, 7}, 0b101)
-        assert is_new(state, spared.key, spared.root, merge=True) is expected, algo
-        if expected:
-            # an identical recorded rooted tree blocks the spare
-            record_for_merging(state, spared)
-            assert is_new(state, spared.key, spared.root, merge=True) is False
+    trace = _Trace(monkeypatch)
+    for algorithm, spares in (("lesp", True), ("molesp", True), ("esp", False), ("moesp", False)):
+        _check_trace(trace, g, seeds, algorithm)
+        built = trace.built
+        # merge trees over an edge set that was built before
+        spared = [
+            t for i, t in trace.later_trees() if any(p.key == t.key for p in built[:i]) and trace.merge_inputs(i)
+        ]
+        assert bool(spared) is spares, algorithm
+        # only at x, where paths from A, B and C meet and three edges touch
+        assert all(t.root == 3 for t in spared) and g.degree(3) >= 3
 
 
-def test_spare_needs_enough_signature_bits(tee_abc):
-    g, seeds = tee_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="lesp"))
-    state.hist.add((1, 2))
-    state.signatures[3] = 0b011  # only two bits
-    assert is_new(state, (1, 2), 3, merge=True) is False
+def test_spare_needs_enough_signature_bits(monkeypatch):
+    # with two seed sets no node is reached from three sets, so nothing is spared
+    for g, seeds in _random_instances(5151, 20, m_choices=(2,)):
+        for spared, plain in (("lesp", "esp"), ("molesp", "moesp")):
+            assert run_search(g, seeds, SearchConfig(algorithm=spared)) == run_search(
+                g, seeds, SearchConfig(algorithm=plain)
+            )
 
 
-def test_grow_trees_never_spared(tee_abc):
-    g, seeds = tee_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    state.hist.add((1, 2))
-    state.signatures[3] = 0b111
-    assert is_new(state, (1, 2), 3, merge=False) is False
+def test_grow_trees_never_spared(tee_abc, monkeypatch):
+    trace = _Trace(monkeypatch)
+    cases = [tee_abc, *_random_instances(6161, 12, m_choices=(3,))]
+    for g, seeds in cases:
+        for algorithm in ("lesp", "molesp"):
+            trace.run(g, seeds, algorithm)
+            built = trace.built
+            for _, _, grown in trace.steps:
+                if grown is not None:
+                    assert all(p.key != grown.key for p in built[: built.index(grown)])
 
 
-def test_first_tree_over_any_edge_set_is_new(path_abc):
-    g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    assert is_new(state, (2, 3), 2, merge=False)
+def test_first_tree_over_any_edge_set_is_new(monkeypatch):
+    # a grow step is pruned exactly when its edge set (with its root under gam) was built before
+    trace = _Trace(monkeypatch)
+    for g, seeds in _random_instances(7171, 10):
+        for algorithm in ROOTED:
+            trace.run(g, seeds, algorithm)
+            seen: set = set()
+            steps = iter(trace.steps)
+            for ev in trace.events:
+                if ev[0] == "built":
+                    seen.add(ev[1].key if algorithm != "gam" else (ev[1].key, ev[1].root))
+                elif ev[0] == "popped":
+                    t, e, grown = next(steps)
+                    key = tuple(sorted(t.key + (e,)))
+                    assert (grown is None) is ((key if algorithm != "gam" else (key, ev[1][5])) in seen)
 
 
 def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch):
     # every tree built is counted in provenances_built: a pruned grow step or
     # merge product is rejected on its edge set before anything is built
-    built, unions, pairs = [], [], []
-    rooted_tree, union, partners = search.RootedTree, search._union, search.merge_partners
-
-    def spy_partners(state, t1):
-        found = partners(state, t1)
-        pairs.extend(found)
-        return found
-
-    monkeypatch.setattr(search, "RootedTree", lambda *a, **k: built.append(rooted_tree(*a, **k)) or built[-1])
-    monkeypatch.setattr(search, "_union", lambda *a: unions.append(union(*a)) or unions[-1])
-    monkeypatch.setattr(search, "merge_partners", spy_partners)
+    trace = _Trace(monkeypatch)
     w = gen_chain(10)
-    _, stats = run_search(w.graph, SeedSets([(1,), (10,)]), SearchConfig(algorithm="molesp"))
+    _, stats = trace.run(w.graph, SeedSets([(1,), (10,)]), "molesp")
     assert stats.trees_pruned == 4608  # chain10_span9 in test_search_pins
-    assert len(built) == stats.provenances_built
-    assert all(any(u is t for t in built) for u in unions)
-    assert len(pairs) > len(unions)
+    assert len(trace.built) == stats.provenances_built
+    pruned_steps = [t for t, _, grown in trace.steps if grown is None]
+    assert 0 < len(pruned_steps) < stats.trees_pruned  # the rest are merge products
 
 
 # ---------------------------------------------------------------------------
@@ -349,85 +412,108 @@ def test_rooted_search_builds_only_trees_that_survive_deduplication(monkeypatch)
 
 def test_reroot_copies_created_at_new_seeds(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    spy = _RootedSpy(monkeypatch)
-    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
-    assert search.process_tree(state, merged) is True
+    trace = _Trace(monkeypatch)
+    _check_trace(trace, g, seeds, "moesp")
+    built = trace.built
+    i = [(t.key, t.root) for t in built].index(((4, 5), 5))
+    merged = built[i]
     # the merge gained set C over B-3 and set B over 3-C: copies at both other seeds
-    assert [(c.key, c.root) for c in spy.copies()] == [((4, 5), 4), ((4, 5), 6)]
-    assert all(c.nodes == merged.nodes and c.covered == merged.covered for c in spy.copies())
-    assert spy.recorded[0] is merged
+    assert merged.gained
+    assert [(c.key, c.root) for c in built[i + 1 : i + 3]] == [((4, 5), 4), ((4, 5), 6)]
+    assert all(c.nodes == merged.nodes and c.covered == merged.covered for c in built[i + 1 : i + 3])
+    assert all(any(c is t for t in built[i + 1 : i + 3]) for c in trace.copies() if c.key == (4, 5))
 
 
 def test_no_reroot_without_seed_gain(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    grown = _grow(state, _recorded(state, 1)[0], 1)  # A-1, no new seed
-    assert not grown.gained
-    spy = _RootedSpy(monkeypatch)
-    search.process_tree(state, grown)
-    assert spy.recorded == [grown] and spy.copies() == []
+    trace = _Trace(monkeypatch)
+    _check_trace(trace, g, seeds, "moesp")
+    a1 = next(t for t in trace.built if (t.key, t.root) == ((1,), 2))  # A-1, no new seed
+    assert not a1.gained
+    assert [t.root for t in trace.built if t.key == (1,)] == [2]
+    # every copy repeats a tree whose step gained a set
+    built = trace.built
+    assert trace.copies()
+    for c in trace.copies():
+        assert any(p.key == c.key and p.gained for p in built[: built.index(c)])
 
 
 def test_no_reroot_under_plain_esp(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="esp"))
-    merged = _union(_tree((4,), 5, {4, 5}, 0b010), _tree((5,), 5, {5, 6}, 0b100), (4, 5))
-    assert merged.gained
-    spy = _RootedSpy(monkeypatch)
-    search.process_tree(state, merged)
-    assert spy.recorded == [merged] and spy.copies() == []
+    trace = _Trace(monkeypatch)
+    _check_trace(trace, g, seeds, "esp")
+    assert ((4, 5), 5, frozenset({4, 5, 6}), 0b110, None, True) in trace.built  # a gained merge
+    assert trace.copies() == []
 
 
-def test_process_tree_outcomes(path_abc):
+def test_process_tree_outcomes(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    full = _tree((1, 2, 3, 4, 5), 6, {1, 2, 3, 4, 5, 6}, 0b111)
-    queued_before = _pending_pairs(state)
-    assert process_tree(state, full) is False
-    assert len(state.results) == 1
-    assert _pending_pairs(state) == queued_before  # results are never grown
-    assert not is_new(state, full.key, full.root, merge=False)
+    trace = _Trace(monkeypatch)
+    results, _ = _check_trace(trace, g, seeds, "molesp")
+    full = [t for t in trace.built if t.covered == seeds.full_mask]
+    assert [t.key for t in full] == [(1, 2, 3, 4, 5)]
+    assert [rt.edges for rt in results] == [(1, 2, 3, 4, 5)]
+    assert not any(t is full[0] for t, _ in trace.queued)  # results are never grown
 
 
-def test_process_tree_reports_only_trees_covering_every_set(fig1):
+def test_process_tree_reports_only_trees_covering_every_set(fig1, monkeypatch):
     seeds = SeedSets([(2, 4), (3, 6), (9,)])
-    state = init_search(fig1, seeds, SearchConfig(algorithm="gam"))
-    assert process_tree(state, _tree((9, 10, 11), 9, {4, 7, 6, 9}, 0b111)) is False
-    assert state.results == {((9, 10, 11), (4, 6, 7, 9))}
-    assert process_tree(state, _tree((1,), 2, {1, 2}, 0b001)) is True
-    assert len(state.results) == 1
-    one_set = SeedSets([(2,)])
-    state = init_search(fig1, one_set, SearchConfig(algorithm="gam"))
-    assert state.results == {((), (2,))}  # a start tree can cover every set
+    trace = _Trace(monkeypatch)
+    results, _ = _check_trace(trace, fig1, seeds, "gam")
+    assert ((9, 10, 11), (4, 6, 7, 9)) in {(rt.edges, rt.nodes) for rt in results}
+    assert trace.queued and all(t.covered != seeds.full_mask for t, _ in trace.queued)
+    results, _ = _check_trace(trace, fig1, SeedSets([(2,)]), "gam")
+    assert [(rt.edges, rt.nodes) for rt in results] == [((), (2,))]  # a start tree can cover every set
+    assert trace.queued == []
 
 
-def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc):
+def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    init_a = _recorded(state, 1)[0]
-    assert process_tree(state, _grow(state, init_a, 1)) is True  # A-1
-    pruned_before = state.stats.trees_pruned
-    assert _grow(state, init_a, 1) is None
-    assert state.stats.trees_pruned == pruned_before + 1
+    trace = _Trace(monkeypatch)
+    _, stats = trace.run(g, seeds, "molesp")
+    pruned = [(t, e) for t, e, grown in trace.steps if grown is None]
+    assert pruned
+    assert len(pruned) <= stats.trees_pruned
+    # between a pruned pop and the next pop nothing is built
+    kinds = [ev[0] for ev in trace.events]
+    for i, ev in enumerate(trace.events):
+        if ev[0] == "popped" and any(ev[1][4] is t and ev[1][3] == e for t, e in pruned):
+            assert "built" not in kinds[i + 1 : kinds.index("popped", i + 1) if "popped" in kinds[i + 1 :] else None]
 
 
 def test_rerooted_trees_are_not_enqueued(path_abc, monkeypatch):
     g, seeds = path_abc
-    spy = _RootedSpy(monkeypatch)
-    state = init_search(g, seeds, SearchConfig(algorithm="moesp"))
-    _drain(state)
-    copies = spy.copies()
-    assert copies and spy.queued
-    assert not any(t is c for t in spy.queued for c in copies)
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "moesp")
+    copies = trace.copies()
+    assert copies and trace.queued
+    assert not any(t is c for t, _ in trace.queued for c in copies)
 
 
-def test_merge_all_with_no_partners_is_noop(path_abc):
+def test_merge_all_with_no_partners_is_noop(path_abc, monkeypatch):
     g, seeds = path_abc
-    state = init_search(g, seeds, SearchConfig(algorithm="molesp"))
-    results_before = len(state.results)
-    merge_all(state, _tree((2,), 2, {2, 3}, 0))
-    assert len(state.results) == results_before
+    trace = _Trace(monkeypatch)
+    trace.run(g, seeds, "molesp")
+    # A-1 is the first grown tree and nothing is recorded at "1" yet: after
+    # queueing its grow pairs, the search pops the next pair
+    i = next(i for i, ev in enumerate(trace.events) if ev[0] == "built" and ev[1].key)
+    assert (trace.events[i][1].key, trace.events[i][1].root) == ((1,), 2)
+    after = [ev[0] for ev in trace.events[i + 1 :]]
+    assert after[: after.index("popped")] == ["queued"]
+
+
+def test_search_leaves_no_cyclic_garbage(fig1):
+    # a search that left reference cycles would hand the collector its whole state
+    w = gen_chain(6)
+    for g, seeds in ((fig1, SeedSets([(2, 4), (3, 6), (9,)])), (w.graph, w.seeds())):
+        for algorithm in ALGORITHMS:
+            gc.collect()
+            gc.disable()
+            try:
+                run_search(g, seeds, SearchConfig(algorithm=algorithm))
+                assert gc.collect() == 0, algorithm
+            finally:
+                gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +646,9 @@ def test_molesp_complete_on_random_m3_sample():
 
 
 def test_molesp_complete_under_largest_first_order(monkeypatch):
-    monkeypatch.setattr(search, "_priority", lambda t, e: (-len(t.key), t.key, t.root, e))
+    # a grow pair's entry starts with its tree's edge count; negating it pops the largest tree first
+    push = search.heappush
+    monkeypatch.setattr(search, "heappush", lambda queue, entry: push(queue, (-entry[0],) + entry[1:]))
     rng = random.Random(616)
     for _ in range(25):
         g, seeds = gen_random_instance(rng, max_nodes=9, max_edges=14, n_labels=3, m=3, max_set_size=2)
@@ -569,21 +657,31 @@ def test_molesp_complete_under_largest_first_order(monkeypatch):
         assert result_identities(found) == result_identities(baseline)
 
 
-def test_multi_queue_mode_changes_nothing_semantically(fig1):
+def _queue_masks(trace):
+    """The covered masks of the pairs queued on each queue, by queue identity."""
+    masks: dict[int, set[int]] = {}
+    for ev in trace.events:
+        if ev[0] == "queued":
+            masks.setdefault(id(ev[1]), set()).add(ev[2][4].covered)
+    return list(masks.values())
+
+
+def test_multi_queue_mode_changes_nothing_semantically(fig1, monkeypatch):
+    trace = _Trace(monkeypatch)
     for seeds in (SeedSets([tuple(range(1, 11)), (11,)]), SeedSets([tuple(range(1, 11)), (11,), (9,)])):
-        assert init_search(fig1, seeds, SearchConfig(algorithm="molesp")).multi_queue
         baseline, _ = run_search(fig1, seeds, SearchConfig(algorithm="bft"))
-        found, _ = run_search(fig1, seeds, SearchConfig(algorithm="molesp"))
+        found, _ = trace.run(fig1, seeds, "molesp")
+        assert len(_queue_masks(trace)) > 1
         assert result_identities(found) == result_identities(baseline)
 
 
-def test_multi_queue_engages_automatically_on_skewed_sets(fig1):
-    skewed = SeedSets([tuple(range(1, 11)), (11,)])
-    state = init_search(fig1, skewed, SearchConfig(algorithm="molesp"))
-    assert state.multi_queue
-    even = SeedSets([(2, 4), (3, 6)])
-    state2 = init_search(fig1, even, SearchConfig(algorithm="molesp"))
-    assert not state2.multi_queue
+def test_multi_queue_engages_automatically_on_skewed_sets(fig1, monkeypatch):
+    trace = _Trace(monkeypatch)
+    trace.run(fig1, SeedSets([tuple(range(1, 11)), (11,)]), "molesp")
+    queues = _queue_masks(trace)
+    assert len(queues) > 1 and all(len(masks) == 1 for masks in queues)  # one queue per covered mask
+    trace.run(fig1, SeedSets([(2, 4), (3, 6)]), "molesp")
+    assert len(_queue_masks(trace)) == 1
 
 
 def test_timeout_is_flagged_and_partial():
@@ -593,6 +691,49 @@ def test_timeout_is_flagged_and_partial():
     )
     assert stats.timed_out
     assert len(results) < 2**18
+
+
+def test_deadline_stops_merging_at_the_next_round(fig1, monkeypatch):
+    # the clock passes the deadline as soon as a merge tree that merges again
+    # in the next round is built: its round finishes, the next round reads
+    # the clock and stops, and the pop loop reads it and stops
+    seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    expire_at: list[tuple] = []
+    passed: list[int] = []
+    reads_after: list[float] = []
+
+    def monotonic():
+        if not passed:
+            return 0.0
+        reads_after.append(1e9)
+        return 1e9
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
+    trace = _Trace(monkeypatch)
+    traced = search.RootedTree
+
+    def built(*fields):
+        t = traced(*fields)
+        if (t.key, t.root) in expire_at:
+            passed.append(len(trace.built) - 1)
+        return t
+
+    monkeypatch.setattr(search, "RootedTree", built)
+    trace.run(fig1, seeds, "gam", timeout_ms=1000)
+    pops = [sum(ev[0] == "popped" for ev in trace.events[:i]) for i, ev in enumerate(trace.events) if ev[0] == "built"]
+    # a tree merged again before the next pop: in the next round of the same merge
+    again = next(
+        t for i, t in trace.later_trees()
+        for j in range(i + 1, len(trace.built))
+        if pops[j] == pops[i] and t in (trace.merge_inputs(j) or ())
+    )
+    expire_at.append((again.key, again.root))
+    _, stats = trace.run(fig1, seeds, "gam", timeout_ms=1000)
+    assert stats.timed_out
+    (first,) = passed
+    assert len(reads_after) == 2
+    built_events = [i for i, ev in enumerate(trace.events) if ev[0] == "built"]
+    assert not any(ev[0] == "popped" for ev in trace.events[built_events[first] :])
 
 
 def test_determinism_results_and_stats(fig1):
