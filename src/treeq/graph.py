@@ -170,8 +170,24 @@ def load_graph(node_rows: Iterable[str], edge_rows: Iterable[str]) -> Graph:
 
 
 def load_graph_files(nodes_path: str, edges_path: str) -> Graph:
-    with open(nodes_path, encoding="utf-8") as nf, open(edges_path, encoding="utf-8") as ef:
-        return load_graph(nf, ef)
+    """Load ``load_graph`` rows from two UTF-8 files.
+
+    A byte sequence that is not UTF-8 is reported with the file and 1-based
+    line of the first line that does not decode.
+    """
+    try:
+        with open(nodes_path, encoding="utf-8") as nf, open(edges_path, encoding="utf-8") as ef:
+            return load_graph(nf, ef)
+    except UnicodeDecodeError:
+        for name, path in (("nodes.tsv", nodes_path), ("edges.tsv", edges_path)):
+            with open(path, "rb") as f:
+                # the line breaks of text mode; a UTF-8 sequence holds no \r or \n byte
+                for lineno, raw in enumerate(f.read().splitlines(), start=1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        raise GraphLoadError(f"{name} line {lineno}: not valid UTF-8") from None
+        raise
 
 
 def nodes_tsv(g: Graph) -> str:

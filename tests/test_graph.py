@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from treeq.graph import Edge, Graph, GraphLoadError, Node, edges_tsv, load_graph, nodes_tsv
+from treeq.graph import Edge, Graph, GraphLoadError, Node, edges_tsv, load_graph, load_graph_files, nodes_tsv
 
 from conftest import FIG1_EDGES, FIG1_NODES
 
@@ -130,6 +130,23 @@ def test_ids_beyond_the_int_digit_limit_are_load_errors():
     with pytest.raises(GraphLoadError) as err:
         load_graph(["1\ta\turi\t"], ["1\t1\tx\t" + "1" * digits])
     assert str(err.value) == "edges.tsv line 1: bad integer field"
+
+
+@pytest.mark.parametrize("bad_file, line", [("nodes.tsv", 3), ("edges.tsv", 2)])
+def test_bytes_that_are_not_utf8_are_reported_with_file_and_line(tmp_path, bad_file, line):
+    rows = {
+        "nodes.tsv": ["1\ta\turi\t", "2\tb\u00e9\turi\t", "3\tc\turi\t", "4\td\turi\t"],
+        "edges.tsv": ["1\t1\tx\t2", "2\t2\tx\t3", "3\t3\tx\t4"],
+    }
+    for name, lines in rows.items():
+        encoded = [row.encode("utf-8") for row in lines]
+        if name == bad_file:
+            encoded[line - 1] += b"\x80"  # a continuation byte with no lead byte
+        # CRLF line ends are counted as text mode counts them
+        (tmp_path / name).write_bytes(b"\r\n".join(encoded))
+    with pytest.raises(GraphLoadError) as err:
+        load_graph_files(str(tmp_path / "nodes.tsv"), str(tmp_path / "edges.tsv"))
+    assert str(err.value) == f"{bad_file} line {line}: not valid UTF-8"
 
 
 def test_negative_and_zero_padded_ids_load():
