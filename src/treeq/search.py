@@ -294,8 +294,9 @@ def _rooted_search(state: SearchState) -> None:
                 key1, root, nodes1, covered1, _, _ = t1
                 clash = covered1 & ~bits(root, 0)
                 lists = [records for mask, records in by_root[root].items() if not mask & clash]
-                # a snapshot: merging records more trees at the root
-                partners = lists[0][:] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+                # every tree recorded at the root while t1 merges contains t1, so
+                # the shared-node test skips the records this loop appends
+                partners = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
                 room = None if max_edges is None else max_edges - len(key1)
                 for _, t2 in partners:
                     key2, _, nodes2, covered2, _, _ = t2

@@ -131,8 +131,8 @@ def _check_trace(trace, g, seeds, algorithm, **filters):
         assert labels is None or all(g.edges[e].label in labels for e in t.key)
     for i, t in trace.later_trees():
         inputs = trace.merge_inputs(i)
-        if inputs is None:  # a re-rooted copy of a tree whose step gained a set
-            assert algorithm in ("moesp", "molesp") and bits(t.root)
+        if inputs is None or not t.gained:  # a re-rooted copy of a tree whose step gained a set
+            assert algorithm in ("moesp", "molesp") and bits(t.root) and not t.gained and t.path_anchor is None
             assert any(p.key == t.key and p.nodes == t.nodes and p.gained and p.root != t.root for p in built[:i])
             continue
         p1, p2 = inputs
@@ -341,19 +341,40 @@ def test_edge_set_pruning_discards_second_root(path_abc, monkeypatch):
             assert len(keys) == len(set(keys)), algorithm
 
 
+def _spared(trace):
+    """The merge trees built over an edge set that was built before (copies have no gain)."""
+    built = trace.built
+    return [
+        t for i, t in trace.later_trees()
+        if t.gained and any(p.key == t.key for p in built[:i]) and trace.merge_inputs(i)
+    ]
+
+
+def _three_set_seeds():
+    """Graphs where a node sits in three seed sets: its own sets fill its signature."""
+    pairs1 = [(2, 3), (5, 4), (6, 5), (1, 5), (1, 4), (3, 5), (2, 7), (6, 4), (5, 7), (4, 7), (6, 2), (2, 6)]
+    pairs2 = [(6, 7), (7, 1), (7, 3), (5, 2), (1, 4), (4, 1), (1, 2), (3, 4), (5, 4), (4, 2)]
+    g1 = make_graph(["n"] * 7, pairs1 + [(2, 5), (4, 6)])
+    g2 = make_graph(["n"] * 7, pairs2)
+    return [
+        (g1, SeedSets([(1, 4), (1, 4), (1, 4), (5,), (3,)])),
+        (g2, SeedSets([(4, 6), (4,), (4,), (1,), (7,), (5,)])),
+    ]
+
+
 def test_spare_condition_rescues_merge_trees(tee_abc, monkeypatch):
     g, seeds = tee_abc
     trace = _Trace(monkeypatch)
     for algorithm, spares in (("lesp", True), ("molesp", True), ("esp", False), ("moesp", False)):
         _check_trace(trace, g, seeds, algorithm)
-        built = trace.built
-        # merge trees over an edge set that was built before
-        spared = [
-            t for i, t in trace.later_trees() if any(p.key == t.key for p in built[:i]) and trace.merge_inputs(i)
-        ]
+        spared = _spared(trace)
         assert bool(spared) is spares, algorithm
         # only at x, where paths from A, B and C meet and three edges touch
         assert all(t.root == 3 for t in spared) and g.degree(3) >= 3
+    # node 4 is a seed of three sets: no path marks it, its own sets do
+    g, seeds = _three_set_seeds()[1]
+    _check_trace(trace, g, seeds, "molesp")
+    assert 4 in {t.root for t in _spared(trace)} and g.degree(4) >= 3
 
 
 def test_spare_needs_enough_signature_bits(monkeypatch):
@@ -367,7 +388,7 @@ def test_spare_needs_enough_signature_bits(monkeypatch):
 
 def test_grow_trees_never_spared(tee_abc, monkeypatch):
     trace = _Trace(monkeypatch)
-    cases = [tee_abc, *_random_instances(6161, 12, m_choices=(3,))]
+    cases = [tee_abc, *_three_set_seeds(), *_random_instances(6161, 12, m_choices=(3,))]
     for g, seeds in cases:
         for algorithm in ("lesp", "molesp"):
             trace.run(g, seeds, algorithm)
