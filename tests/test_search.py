@@ -77,6 +77,10 @@ class _Trace:
                 steps.append((ev[1][4], ev[1][3], grown))
         return steps
 
+    def position(self, t):
+        """The index of ``t`` itself (not of an equal tree) among the built trees."""
+        return next(i for i, b in enumerate(self.built) if b is t)
+
     def later_trees(self):
         """``(index, tree)`` of the built trees that are neither start trees nor grown."""
         grown = [id(t) for _, _, t in self.steps if t is not None]
@@ -309,9 +313,9 @@ def test_merge_partners_filter_recorded_trees_in_record_order(monkeypatch):
     for max_edges, expected in ((None, [(1, 4), (2, 4), (1, 2, 4), (3, 4), (2, 3, 4)]), (2, [(1, 4), (2, 4), (3, 4)])):
         _check_trace(trace, g, seeds, "gam", max_edges=max_edges)
         keys = [t.key for t in trace.built]
-        after_a = keys[keys.index((4,)) + 1 :]
-        assert after_a[: len(expected)] == expected, max_edges
-        assert all(t.root == 1 for t in trace.built[keys.index((4,)) + 1 :][: len(expected)])
+        after_a = trace.built[keys.index((4,)) + 1 :][: len(expected)]
+        assert [t.key for t in after_a] == expected, max_edges
+        assert all(t.root == 1 for t in after_a)
 
 
 def test_merge_covered_algebra(fig1, monkeypatch):
@@ -377,7 +381,7 @@ def test_spare_condition_rescues_merge_trees(tee_abc, monkeypatch):
     assert 4 in {t.root for t in _spared(trace)} and g.degree(4) >= 3
 
 
-def test_spare_needs_enough_signature_bits(monkeypatch):
+def test_spare_needs_enough_signature_bits():
     # with two seed sets no node is reached from three sets, so nothing is spared
     for g, seeds in _random_instances(5151, 20, m_choices=(2,)):
         for spared, plain in (("lesp", "esp"), ("molesp", "moesp")):
@@ -395,7 +399,7 @@ def test_grow_trees_never_spared(tee_abc, monkeypatch):
             built = trace.built
             for _, _, grown in trace.steps:
                 if grown is not None:
-                    assert all(p.key != grown.key for p in built[: built.index(grown)])
+                    assert all(p.key != grown.key for p in built[: trace.position(grown)])
 
 
 def test_first_tree_over_any_edge_set_is_new(monkeypatch):
@@ -456,7 +460,7 @@ def test_no_reroot_without_seed_gain(path_abc, monkeypatch):
     built = trace.built
     assert trace.copies()
     for c in trace.copies():
-        assert any(p.key == c.key and p.gained for p in built[: built.index(c)])
+        assert any(p.key == c.key and p.gained for p in built[: trace.position(c)])
 
 
 def test_no_reroot_under_plain_esp(path_abc, monkeypatch):
@@ -492,14 +496,19 @@ def test_pruned_grow_step_builds_nothing_and_is_counted(path_abc, monkeypatch):
     g, seeds = path_abc
     trace = _Trace(monkeypatch)
     _, stats = trace.run(g, seeds, "molesp")
-    pruned = [(t, e) for t, e, grown in trace.steps if grown is None]
-    assert pruned
-    assert len(pruned) <= stats.trees_pruned
-    # between a pruned pop and the next pop nothing is built
-    kinds = [ev[0] for ev in trace.events]
-    for i, ev in enumerate(trace.events):
-        if ev[0] == "popped" and any(ev[1][4] is t and ev[1][3] == e for t, e in pruned):
-            assert "built" not in kinds[i + 1 : kinds.index("popped", i + 1) if "popped" in kinds[i + 1 :] else None]
+    seen: set = set()
+    steps = iter(trace.steps)
+    pruned = 0
+    for ev in trace.events:
+        if ev[0] == "built":
+            seen.add(ev[1].key)
+        elif ev[0] == "popped":
+            t, e, grown = next(steps)
+            if grown is None:  # nothing was built before the next pop
+                pruned += 1
+                assert tuple(sorted(t.key + (e,))) in seen
+    # four grow steps and one merge are pruned on path_abc
+    assert (pruned, stats.trees_pruned) == (4, 5)
 
 
 def test_rerooted_trees_are_not_enqueued(path_abc, monkeypatch):
