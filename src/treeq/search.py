@@ -165,6 +165,10 @@ class SearchState:
         return self.deadline is not None and time.monotonic() > self.deadline
 
 
+# ---------------------------------------------------------------------------
+# Rooted search driver
+
+
 def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
     """Every seed of the non-universal sets once, set by set, ascending."""
     started: set[int] = set()
@@ -176,10 +180,6 @@ def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
                 raise SeedSetError(f"seed {s} is not a graph node")
             started.add(s)
             yield s
-
-
-# ---------------------------------------------------------------------------
-# Rooted search driver
 
 
 def _rooted_search(state: SearchState) -> None:
