@@ -137,6 +137,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     w = load_workload(args.workload)
     workload_id = Path(args.workload).name
     searches, m = _workload_searches(w, _default_timeout_ms(args.timeout_ms))
+    if not searches:
+        raise ValueError(f"{workload_id}: the query plans no tree search, nothing to time")
 
     records = []
     for algo in algos:

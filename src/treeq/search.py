@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
 from .lang import CtpFilters
@@ -131,41 +131,6 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
 
 
 # ---------------------------------------------------------------------------
-# Search state
-
-
-class SearchState:
-    """The inputs and outputs both search drivers share; owned by a single execution."""
-
-    def __init__(self, g: Graph, seeds: SeedSets, cfg: SearchConfig) -> None:
-        if cfg.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-        if not seeds.active:
-            raise SeedSetError("all seed sets are universal")
-        if cfg.filters.top_k is not None and cfg.filters.score is None:
-            raise ValueError("TOP requires SCORE")
-        if cfg.filters.score is not None and cfg.filters.score not in _SCORES:
-            raise ValueError(f"unknown score function {cfg.filters.score!r}")
-        self.graph = g
-        self.seeds = seeds
-        self.cfg = cfg
-        self.stats = SearchStats()
-
-        f = cfg.filters
-        self.uni = f.uni
-        self.labels_ok = f.labels
-        self.max_edges = f.max_edges
-        self.deadline: float | None = (
-            time.monotonic() + f.timeout_ms / 1000.0 if f.timeout_ms is not None else None
-        )
-        #: the ascending (edges, nodes) of every tree that covers all seed sets
-        self.results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def deadline_passed(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-
-# ---------------------------------------------------------------------------
 # Rooted search driver
 
 
@@ -182,8 +147,11 @@ def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
             yield s
 
 
-def _rooted_search(state: SearchState) -> None:
-    """Run ``gam``, ``esp``, ``moesp``, ``lesp`` or ``molesp`` to exhaustion or deadline.
+def _rooted_search(
+    g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
+) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Run ``gam``, ``esp``, ``moesp``, ``lesp`` or ``molesp`` to exhaustion or
+    deadline; return the ascending ``(edges, nodes)`` of every result.
 
     One start tree per seed (a node in several sets covers them all at
     once) is settled first. Then the best grow pair is popped, and the tree
@@ -217,10 +185,7 @@ def _rooted_search(state: SearchState) -> None:
 
     The deadline is checked before every pop and every merge round.
     """
-    g, seeds, stats, results = state.graph, state.seeds, state.stats, state.results
-    algorithm, uni, labels_ok, max_edges, deadline = (
-        state.cfg.algorithm, state.uni, state.labels_ok, state.max_edges, state.deadline
-    )
+    uni, labels_ok, max_edges = filters.uni, filters.labels, filters.max_edges
     edges, full_mask, bits = g.edges, seeds.full_mask, seeds.node_bits.get
     around = g.incoming_edges if uni else g.adjacent_edges
     sizes = [len(seeds.sets[i]) for i in seeds.active]
@@ -240,6 +205,7 @@ def _rooted_search(state: SearchState) -> None:
     rooted_keys: set[tuple[tuple[int, ...], int]] = set()  # (key, root) of every record
     signatures: dict[int, int] = {}  # node -> sets whose seed-rooted paths reached it
     next_record = count().__next__
+    results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def settle(t: RootedTree) -> bool:
         """Count ``t``; file it as a result, or record it, merge its copies
@@ -328,10 +294,10 @@ def _rooted_search(state: SearchState) -> None:
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 stats.timed_out = True
-                return
+                break
             if not multi_queue:
                 if not heap:
-                    return
+                    break
                 _, key, _, e, t, far, far_bits = heappop(heap)
             elif queues:
                 # the queue with the fewest pending pairs; a drained queue is deleted
@@ -344,7 +310,7 @@ def _rooted_search(state: SearchState) -> None:
                 if not q:
                     del queues[bucket]
             else:
-                return
+                break
             stats.queue_pops += 1
             _, _, nodes, covered, anchor, _ = t
             key = tuple(sorted(key + (e,)))
@@ -365,49 +331,11 @@ def _rooted_search(state: SearchState) -> None:
         # settle and merge call each other: clear their cells, or every
         # search would leave a reference cycle for the garbage collector
         del settle, merge
+    return results
 
 
 # ---------------------------------------------------------------------------
 # Generation-based driver
-
-
-def admissible_edges(state: SearchState, t: _GenTree, at: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(edge, far node, far node's seed bits)`` for every edge that may
-    extend ``t`` at one of the nodes ``at``, node by node in edge-id order.
-
-    The tree must be below the edge budget; the edge must pass the label
-    filter; its far endpoint must be a new node and must not be a seed from
-    an already covered set. The rooted driver applies the same test inline
-    at the root.
-    """
-    if state.max_edges is not None and len(t.key) >= state.max_edges:
-        return
-    edges, labels_ok, bits = state.graph.edges, state.labels_ok, state.seeds.node_bits.get
-    adjacent = state.graph.adjacent_edges
-    for n in at:
-        for e in adjacent(n):
-            _, source, target, label = edges[e]
-            if labels_ok is not None and label not in labels_ok:
-                continue
-            far = source if target == n else target
-            if far in t.nodes:
-                continue
-            far_bits = bits(far, 0)
-            if far_bits & t.covered:
-                continue
-            yield e, far, far_bits
-
-
-def mergeable(state: SearchState, t1: _GenTree, t2: _GenTree) -> bool:
-    """Whether the union of two trees stays within the edge budget.
-
-    The driver first keeps only partners that share the merge node alone and
-    whose covered seed sets overlap at most in that node's own seed bits. The
-    seed sets are tested first, on integer masks, since most partners fail
-    there (a set covered through two different nodes would put two of its
-    seeds in the union).
-    """
-    return state.max_edges is None or len(t1.key) + len(t2.key) <= state.max_edges
 
 
 def _submasks(mask: int):
@@ -419,29 +347,48 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _run_generations(state: SearchState) -> None:
-    g, seeds, cfg, stats = state.graph, state.seeds, state.cfg, state.stats
-    full_mask = seeds.full_mask
-    merging = cfg.algorithm in ("bft_m", "bft_am")
-    aggressive = cfg.algorithm == "bft_am"
+def _run_generations(
+    g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
+) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Run ``bft``, ``bft_m`` or ``bft_am`` to exhaustion or deadline; return
+    the ascending ``(edges, nodes)`` of every result.
+
+    Each generation grows every tree of the last one by one edge at any of
+    its nodes, node by node in edge-id order. An edge may extend a tree
+    below ``MAX`` when it passes ``LABEL`` and its far node is new to the
+    tree and no seed of a set the tree covers. A tree whose edge set was
+    seen before is pruned before it is built. ``bft_m`` merges each grown
+    tree once with the kept trees it can join at one shared node; ``bft_am``
+    merges the merge products too. The deadline is checked before each
+    tree is grown.
+    """
+    edges, adjacent, full_mask, bits = g.edges, g.adjacent_edges, seeds.full_mask, seeds.node_bits.get
+    labels_ok, max_edges = filters.labels, filters.max_edges
+    merging = algorithm in ("bft_m", "bft_am")
+    aggressive = algorithm == "bft_am"
+    results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     # the edge sets seen so far; start trees have none and are all distinct
     memory: set[int] = set()
     # merge partners bucketed by (shared node, covered mask), then grouped by
     # node set: only buckets whose covered sets cannot collide outside the
     # shared node are reached, and only groups sharing that node alone are read
     by_node_cov: dict[tuple[int, int], dict[int, list[tuple[int, _GenTree]]]] = {}
-    record_numbers = count()
+    next_record = count().__next__
     # per-search node and edge bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
     ebit_of: dict[int, int] = {}
 
-    def report(t: _GenTree) -> None:
+    def keep(t: _GenTree) -> bool:
+        """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
+        stats.provenances_built += 1
+        if t.covered != full_mask:
+            return True
         # A full-cover tree T with a leaf that is no seed (a bit in loose) is
         # skipped, since M = minimize(T) is generated and reported on its own.
         # The nodes of T have pairwise disjoint seed masks (the grow step and
         # the merge filters enforce this), and M is a subtree of T whose
         # leaves are all seeds. So growing from one seed leaf along M's edges
-        # passes admissible_edges at every step: M is no larger than T for MAX
+        # passes the grow test at every step: M is no larger than T for MAX
         # and LABEL, the far node is new, and its seed bits are not covered
         # yet. No proper subtree of M covers every set (a missing seed leaf
         # would repeat a set it covers), so no step of that growth stops
@@ -450,32 +397,25 @@ def _run_generations(state: SearchState) -> None:
         # bft_am may miss M (the result is partial): a merge can build T in an
         # earlier generation than M. bft cannot, since M is smaller and comes
         # first.
-        if t.loose:
-            return
-        # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
-        minimize(g, t.key, seeds)
-        state.results.add((t.key, tuple(sorted(t.nodes))))
-
-    def keep(t: _GenTree) -> bool:
-        """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
-        stats.provenances_built += 1
-        if t.covered == full_mask:
-            report(t)
-            return False
-        return True
+        if not t.loose:
+            # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
+            minimize(g, t.key, seeds)
+            results.add((t.key, tuple(sorted(t.nodes))))
+        return False
 
     def index(t: _GenTree) -> None:
-        entry = (next(record_numbers), t)
+        entry = (next_record(), t)
         for n in t.nodes:
             by_node_cov.setdefault((n, t.covered), {}).setdefault(t.nbits, []).append(entry)
 
     def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
-            cur_nbits, cur_ebits = cur.nbits, cur.ebits
-            for n in sorted(cur.nodes):
+            cur_key, cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose = cur
+            room = None if max_edges is None else max_edges - len(cur_key)
+            for n in sorted(cur_nodes):
                 n_bit = bit_of[n]
-                allowed = full_mask & ~(cur.covered & ~seeds.bits(n))
+                allowed = full_mask & ~(cur_covered & ~bits(n, 0))
                 for mask in _submasks(allowed):
                     groups = by_node_cov.get((n, mask))
                     if groups is None:
@@ -484,7 +424,7 @@ def _run_generations(state: SearchState) -> None:
                     lists = [
                         records
                         for nbits, records in groups.items()
-                        if nbits & cur_nbits == n_bit and mergeable(state, cur, records[0][1])
+                        if nbits & cur_nbits == n_bit and (room is None or len(records[0][1].key) <= room)
                     ]
                     if not lists:
                         continue
@@ -495,12 +435,12 @@ def _run_generations(state: SearchState) -> None:
                             continue
                         memory.add(ebits)
                         merged = _GenTree(
-                            tuple(sorted(cur.key + partner.key)),
-                            cur.nodes | partner.nodes,
-                            cur.covered | partner.covered,
+                            tuple(sorted(cur_key + partner.key)),
+                            cur_nodes | partner.nodes,
+                            cur_covered | partner.covered,
                             cur_nbits | partner.nbits,
                             ebits,
-                            (cur.loose | partner.loose) & ~n_bit,  # n has an edge on both sides
+                            (cur_loose | partner.loose) & ~n_bit,  # n has an edge on both sides
                         )
                         if keep(merged):
                             generation.append(merged)
@@ -510,41 +450,53 @@ def _run_generations(state: SearchState) -> None:
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = _GenTree((), frozenset((s,)), seeds.bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0)
+        t = _GenTree((), frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0)
         if keep(t):
             current.append(t)
 
-    edges = g.edges
     while current:
         nxt: list[_GenTree] = []
         for t in current:
-            if state.deadline_passed():
+            if deadline is not None and time.monotonic() > deadline:
                 stats.timed_out = True
-                return
-            for e, far, far_bits in admissible_edges(state, t, sorted(t.nodes)):
-                ebits = t.ebits | ebit_of.setdefault(e, 1 << len(ebit_of))
-                if ebits in memory:
-                    stats.trees_pruned += 1
-                    continue
-                memory.add(ebits)
-                far_bit = bit_of.setdefault(far, 1 << len(bit_of))
-                _, source, target, _ = edges[e]
+                return results
+            key, nodes, covered, nbits, t_ebits, loose = t
+            if max_edges is not None and len(key) >= max_edges:
+                continue
+            for n in sorted(nodes):
                 # the near end stops being a leaf; a start tree's only node is a seed
-                loose = t.loose & ~bit_of[source if target == far else target]
-                grown = _GenTree(
-                    tuple(sorted(t.key + (e,))),
-                    t.nodes | {far},
-                    t.covered | far_bits,
-                    t.nbits | far_bit,
-                    ebits,
-                    loose if far_bits else loose | far_bit,
-                )
-                if keep(grown):
-                    nxt.append(grown)
-                    if merging:
-                        index(grown)
-                        merge_round(grown, nxt)
+                near_loose = loose & ~bit_of[n]
+                for e in adjacent(n):
+                    _, source, target, label = edges[e]
+                    if labels_ok is not None and label not in labels_ok:
+                        continue
+                    far = source if target == n else target
+                    if far in nodes:
+                        continue
+                    far_bits = bits(far, 0)
+                    if far_bits & covered:
+                        continue
+                    ebits = t_ebits | ebit_of.setdefault(e, 1 << len(ebit_of))
+                    if ebits in memory:
+                        stats.trees_pruned += 1
+                        continue
+                    memory.add(ebits)
+                    far_bit = bit_of.setdefault(far, 1 << len(bit_of))
+                    grown = _GenTree(
+                        tuple(sorted(key + (e,))),
+                        nodes | {far},
+                        covered | far_bits,
+                        nbits | far_bit,
+                        ebits,
+                        near_loose if far_bits else near_loose | far_bit,
+                    )
+                    if keep(grown):
+                        nxt.append(grown)
+                        if merging:
+                            index(grown)
+                            merge_round(grown, nxt)
         current = nxt
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +512,22 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
     under UNI and is its smallest node otherwise; it fills every universal
     seed-set cell. A timeout is a normal outcome flagged in ``stats.timed_out``.
     """
-    state = SearchState(g, seeds, cfg)
-    if cfg.algorithm in GENERATION_ALGORITHMS:
-        _run_generations(state)
-    else:
-        _rooted_search(state)
+    algorithm, filters = cfg.algorithm, cfg.filters
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if not seeds.active:
+        raise SeedSetError("all seed sets are universal")
+    if filters.top_k is not None and filters.score is None:
+        raise ValueError("TOP requires SCORE")
+    if filters.score is not None and filters.score not in _SCORES:
+        raise ValueError(f"unknown score function {filters.score!r}")
+    deadline = None if filters.timeout_ms is None else time.monotonic() + filters.timeout_ms / 1000.0
+    stats = SearchStats()
+    driver = _run_generations if algorithm in GENERATION_ALGORITHMS else _rooted_search
+    found = driver(g, seeds, algorithm, filters, deadline, stats)
     results = []
-    for edges, nodes in state.results:
-        if state.uni and edges:
+    for edges, nodes in found:
+        if filters.uni and edges:
             # rooted trees under UNI grow away from their root; a generation
             # tree, grown in any direction, is dropped when it has no such root
             root = directed_root(g, edges)
@@ -578,10 +538,10 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
         chosen = seeds.chosen_seeds(nodes)  # every non-universal set, and no other
         seed_tuple = tuple(chosen.get(i, root) for i in range(seeds.m))
         results.append(ResultTree(edges, nodes, seed_tuple, root))
-    state.stats.results_found = len(results)
+    stats.results_found = len(results)
     results.sort(key=lambda rt: (len(rt.edges), rt.edges, rt.nodes))
-    results = apply_score_topk(results, cfg.filters, g)
-    return results, state.stats
+    results = apply_score_topk(results, filters, g)
+    return results, stats
 
 
 # ---------------------------------------------------------------------------

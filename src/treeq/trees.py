@@ -35,17 +35,13 @@ class SeedSets:
         #: original indices of the non-universal sets, in order
         self.active: tuple[int, ...] = tuple(i for i, u in enumerate(self.universal) if not u)
         self.full_mask = (1 << len(self.active)) - 1
-        #: seed node -> mask of the non-universal sets holding it; hot loops
-        #: bind ``node_bits.get`` and read ``get(n, 0)`` instead of calling ``bits``
+        #: seed node -> mask of the non-universal sets holding it; read
+        #: ``node_bits.get(n, 0)``, which is 0 for a node that is no seed
         self.node_bits: dict[int, int] = {}
         for bit, orig in enumerate(self.active):
             for n in self.sets[orig]:
                 self.node_bits[n] = self.node_bits.get(n, 0) | (1 << bit)
         self._seed_nodes = frozenset(self.node_bits)
-
-    def bits(self, node: int) -> int:
-        """Mask of non-universal sets that contain ``node`` (0 for non-seeds)."""
-        return self.node_bits.get(node, 0)
 
     def seed_nodes(self) -> frozenset[int]:
         """Every node of a non-universal set."""
@@ -169,7 +165,7 @@ def classify_result(g: Graph, edges: Iterable[int], seeds: SeedSets) -> Classifi
                 raise ValueError("not a result tree: a leaf is not a seed")
         counts: dict[int, int] = {}
         for n in adj:
-            for orig in seeds.sets_of_mask(seeds.bits(n)):
+            for orig in seeds.sets_of_mask(seeds.node_bits.get(n, 0)):
                 counts[orig] = counts.get(orig, 0) + 1
         if any(c > 1 for c in counts.values()):
             raise ValueError("not a result tree: two seeds from one set")

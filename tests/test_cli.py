@@ -287,6 +287,23 @@ def test_bench_timed_out_run_recorded(tmp_path, capsys):
     assert record["timed_out"] == "true"
 
 
+def test_bench_empty_plan_is_an_error(tmp_path, capsys):
+    # a member whose label no node carries leaves the tree pattern without a search
+    main(["gen", "--family", "cdf", "--m", "2", "--NT", "1", "--NL", "2", "--SL", "2", "--out", str(tmp_path / "w")])
+    manifest = tmp_path / "w" / "workload.json"
+    data = json.loads(manifest.read_text())
+    data["query"] = data["query"].replace("(?bl, ?tl, TREE ?l)", '(?bl, ?tl, ?z[label = "nothing"], TREE ?l)')
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    csv_path = tmp_path / "bench.csv"
+    code = main(["bench", "--workload", str(tmp_path / "w"), "--algos", "molesp", "--csv", str(csv_path)])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: w: the query plans no tree search, nothing to time\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
+
+
 def test_oracle_check_workload_pass(tmp_path, capsys):
     main(["gen", "--family", "line", "--m", "3", "--nL", "1", "--out", str(tmp_path / "w")])
     capsys.readouterr()

@@ -114,7 +114,7 @@ class _Trace:
 def _check_trace(trace, g, seeds, algorithm, **filters):
     """Run the search and check every tree it built against the step rules."""
     results, stats = trace.run(g, seeds, algorithm, **filters)
-    built, bits, full = trace.built, seeds.bits, seeds.full_mask
+    built, bits, full = trace.built, seeds.node_bits.get, seeds.full_mask
     assert len(built) == stats.provenances_built
     max_edges, labels = filters.get("max_edges"), filters.get("labels")
     for t in built:
@@ -130,7 +130,7 @@ def _check_trace(trace, g, seeds, algorithm, **filters):
                     frontier.append(far)
         assert reached == t.nodes and len(t.nodes) == len(t.key) + 1
         # one seed of each covered set and no other
-        assert sum(bits(n).bit_count() for n in t.nodes) == t.covered.bit_count()
+        assert sum(bits(n, 0).bit_count() for n in t.nodes) == t.covered.bit_count()
         assert max_edges is None or len(t.key) <= max_edges
         assert labels is None or all(g.edges[e].label in labels for e in t.key)
     for i, t in trace.later_trees():
@@ -141,7 +141,7 @@ def _check_trace(trace, g, seeds, algorithm, **filters):
             continue
         p1, p2 = inputs
         assert t.covered == p1.covered | p2.covered
-        assert (p1.covered & p2.covered) & ~bits(t.root) == 0
+        assert (p1.covered & p2.covered) & ~bits(t.root, 0) == 0
         assert t.gained == (t.covered.bit_count() > max(p1.covered.bit_count(), p2.covered.bit_count()))
     assert {(t.key, tuple(sorted(t.nodes))) for t in built if t.covered == full} == {
         (rt.edges, rt.nodes) for rt in results
@@ -248,7 +248,7 @@ def test_grow_never_applies_to_rerooted_trees(path_abc, monkeypatch):
     assert copies and steps
     assert not any(t is c for t, _, _ in steps for c in copies)
     # each copy is filed at a seed of the tree it copies, never as a result
-    assert all(seeds.bits(c.root) and c.root in c.nodes and c.covered != seeds.full_mask for c in copies)
+    assert all(c.root in seeds.node_bits and c.root in c.nodes and c.covered != seeds.full_mask for c in copies)
 
 
 # ---------------------------------------------------------------------------
@@ -978,5 +978,5 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
                 for eid in t.key:
                     degree[big.edges[eid].source] += 1
                     degree[big.edges[eid].target] += 1
-                leaves = [n for n, d in degree.items() if d == 1 and not big_seeds.bits(n)]
+                leaves = [n for n, d in degree.items() if d == 1 and n not in big_seeds.node_bits]
                 assert t.loose == sum(bit[n] for n in leaves)

@@ -26,10 +26,7 @@ def test_seed_sets_validation():
 
 def test_seed_bits_and_multimembership():
     seeds = SeedSets([(1, 2), (2, 3)])
-    assert seeds.bits(1) == 0b01
-    assert seeds.bits(2) == 0b11
-    assert seeds.bits(3) == 0b10
-    assert seeds.bits(4) == 0
+    assert seeds.node_bits == {1: 0b01, 2: 0b11, 3: 0b10}  # node 4 is no seed
     assert seeds.full_mask == 0b11
     assert seeds.chosen_seeds([2, 4]) == {0: 2, 1: 2}
 
@@ -38,7 +35,7 @@ def test_universal_sets_do_not_get_bits():
     seeds = SeedSets([(1,), (), (2,)], universal=[False, True, False])
     assert seeds.active == (0, 2)
     assert seeds.full_mask == 0b11
-    assert seeds.bits(2) == 0b10
+    assert seeds.node_bits == {1: 0b01, 2: 0b10}
 
 
 def test_minimize_drops_dead_branch(fig1):
