@@ -13,10 +13,12 @@ and never holds two seeds from one set):
 The pruned variants deduplicate by edge set alone (``esp``), optionally
 re-root newly completed trees at their seeds to keep merge opportunities
 alive (``moesp``), and spare merge trees from pruning at well-connected
-nodes (``lesp``); ``molesp`` combines all three.
+nodes unless that tree was already built at that root (``lesp``);
+``molesp`` combines all three.
 
-Each family runs as one driver function whose queues, histories and merge
-partners are local variables: ``_run_generations`` and ``_rooted_search``.
+Each family runs as one driver function whose queues, seen edge sets and
+merge partners are local variables: ``_run_generations`` and
+``_rooted_search``.
 A rooted tree does not record how it was built: the pruned variants read
 only ``gained`` and ``path_anchor``, and a re-rooted copy is merged at once
 and never queued for growing.
@@ -164,19 +166,20 @@ def _rooted_search(
       ``(key, root, edge)``. With skewed seed sets there is one queue per
       covered mask, and the queue with the fewest pairs (then the smallest
       mask) is popped.
-    * Deduplicate: before a grown or merged tree is built, plain ``gam``
-      discards it when the same edge set under the same root was seen;
-      the pruned variants discard any edge set seen under any root. The
-      limited variants spare a merge tree whose root already has
+    * Deduplicate: one map files each edge set with the roots it was built
+      or copied at, results included. Before a grown or merged tree is
+      built, plain ``gam`` discards it when its edge set was built at the
+      same root; the pruned variants discard any edge set built at any
+      root. The limited variants spare a merge tree whose root already has
       seed-rooted paths from three or more sets and three or more adjacent
-      edges, unless that rooted tree is recorded already. A pruned step
-      builds nothing and is counted in ``trees_pruned``.
+      edges, unless that tree was already built at that root. A pruned
+      step builds nothing and is counted in ``trees_pruned``.
     * Settle: a built tree is counted in ``provenances_built``; if it
       covers every set it is a result, otherwise it is recorded as a merge
       partner at its root and its grow pairs are queued. Under re-rooting,
       a tree whose step covered strictly more sets than each input is also
-      copied to every other seed node in it; a copy is recorded and merged
-      at once, and never grows.
+      copied to every seed node in it that its edge set was not built or
+      copied at; a copy is recorded and merged at once, and never grows.
     * Merge: a recorded tree merges, round by round to a fixpoint, with
       the trees recorded at its root before the scan started, in record
       order. A partner has an edge, shares no node but the root, covers no
@@ -199,10 +202,10 @@ def _rooted_search(
     # (key, root, edge) is unique, so entries never compare past the edge
     heap: list[tuple] = []
     queues: dict[int, list[tuple]] = {}  # covered mask -> pairs, when multi_queue
-    hist: set = set()  # edge sets seen (with their root under gam)
+    # edge-set key -> the roots it was built or copied at, results included
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     # root -> covered mask -> [(record number, tree), ...] in record order
     by_root: dict[int, dict[int, list[tuple[int, RootedTree]]]] = {}
-    rooted_keys: set[tuple[tuple[int, ...], int]] = set()  # (key, root) of every record
     signatures: dict[int, int] = {}  # node -> sets whose seed-rooted paths reached it
     next_record = count().__next__
     results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -212,7 +215,10 @@ def _rooted_search(
         and queue its grow pairs. True when it was recorded."""
         key, root, nodes, covered, _, gained = t
         stats.provenances_built += 1
-        hist.add(key if edge_set_pruned else (key, root))
+        # deduplication lets a tree through only at a root new to its edge
+        # set; the start trees share the empty key, which no step looks up
+        if key:
+            roots = seen[key] = seen.get(key, ()) + (root,)
         if covered == full_mask:
             results.add((key, tuple(sorted(nodes))))
             return False
@@ -222,15 +228,14 @@ def _rooted_search(
             by_root[root] = {covered: [entry]}
         else:
             buckets.setdefault(covered, []).append(entry)
-        rooted_keys.add((key, root))
         if reroot and gained:
             for n in sorted(nodes):
-                if n == root or not bits(n) or (key, n) in rooted_keys:
+                if not bits(n) or n in roots:
                     continue
                 copy = RootedTree(key, n, nodes, covered)
                 stats.provenances_built += 1
                 by_root.setdefault(n, {}).setdefault(covered, []).append((next_record(), copy))
-                rooted_keys.add((key, n))
+                roots = seen[key] = roots + (n,)
                 merge(copy)
         if max_edges is not None and len(key) >= max_edges:
             return True
@@ -269,16 +274,12 @@ def _rooted_search(
                     if not key2 or len(nodes1 & nodes2) != 1 or (room is not None and len(key2) > room):
                         continue
                     key = tuple(sorted(key1 + key2))
-                    if not edge_set_pruned:
-                        pruned = (key, root) in hist
-                    else:
-                        pruned = key in hist and not (
-                            spares_merges
-                            and signatures.get(root, 0).bit_count() >= 3
-                            and g.degree(root) >= 3
-                            and (key, root) not in rooted_keys
-                        )
-                    if pruned:
+                    roots = seen.get(key)
+                    if roots is not None and (
+                        root in roots
+                        or edge_set_pruned
+                        and not (spares_merges and signatures.get(root, 0).bit_count() >= 3 and g.degree(root) >= 3)
+                    ):
                         stats.trees_pruned += 1
                         continue
                     # each input holds a seed besides the root, of a set the other
@@ -319,8 +320,9 @@ def _rooted_search(
             elif anchor is not None:
                 # a nonempty root-ended path from a single seed marks its root as reached
                 signatures[far] = signatures.get(far, 0) | bits(anchor)
-            # a grown tree is never spared
-            if (key in hist) if edge_set_pruned else ((key, far) in hist):
+            # a grown tree is never spared; under gam it is always new, since
+            # its root is a leaf that only the tree it grows from reaches
+            if edge_set_pruned and key in seen:
                 stats.trees_pruned += 1
                 continue
             # far's seed sets are not covered by t yet, so any seed bit is a gain

@@ -366,19 +366,36 @@ def _three_set_seeds():
     ]
 
 
-def test_spare_condition_rescues_merge_trees(tee_abc, monkeypatch):
-    g, seeds = tee_abc
+def test_spare_condition_rescues_merge_trees(monkeypatch):
+    # a spider at x(3): A(2) -> 1(4) -> x, B(5) -> x and x -> C(1). The path
+    # A-1-x-B is built at another root first, and its merge at x is spared
+    g = make_graph(["C", "A", "x", "1", "B"], [(5, 3), (2, 4), (4, 3), (3, 1)])
+    seeds = SeedSets([(2,), (5,), (1,)])
     trace = _Trace(monkeypatch)
     for algorithm, spares in (("lesp", True), ("molesp", True), ("esp", False), ("moesp", False)):
         _check_trace(trace, g, seeds, algorithm)
         spared = _spared(trace)
-        assert bool(spared) is spares, algorithm
+        assert [(t.key, t.root) for t in spared] == ([((1, 2, 3), 3)] if spares else []), algorithm
         # only at x, where paths from A, B and C meet and three edges touch
         assert all(t.root == 3 for t in spared) and g.degree(3) >= 3
     # node 4 is a seed of three sets: no path marks it, its own sets do
     g, seeds = _three_set_seeds()[1]
     _check_trace(trace, g, seeds, "molesp")
     assert 4 in {t.root for t in _spared(trace)} and g.degree(4) >= 3
+
+
+def test_each_edge_set_is_built_at_most_once_per_root(path_abc, tee_abc, six_seed_tree, four_seed_cross, fig1,
+                                                      monkeypatch):
+    # a spared merge never rebuilds a tree, a result included, at a root its
+    # edge set was already built or copied at
+    trace = _Trace(monkeypatch)
+    cases = [path_abc, tee_abc, six_seed_tree, four_seed_cross, (fig1, SeedSets([(2, 4), (3, 6), (9,)]))]
+    cases += [*_three_set_seeds(), *_random_instances(9191, 20, m_choices=(3, 4))]
+    for g, seeds in cases:
+        for algorithm in ROOTED:
+            trace.run(g, seeds, algorithm)
+            rooted = [(t.key, t.root) for t in trace.built]
+            assert len(rooted) == len(set(rooted)), algorithm
 
 
 def test_spare_needs_enough_signature_bits():

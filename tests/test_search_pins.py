@@ -29,8 +29,8 @@ PINNED = {
     ("fig1", "gam"): (329, 4, 208, 22, "da6c717b99683bc1"),
     ("fig1", "esp"): (63, 44, 71, 3, "8d49895709a532c4"),
     ("fig1", "moesp"): (107, 45, 71, 22, "da6c717b99683bc1"),
-    ("fig1", "lesp"): (76, 39, 75, 3, "8d49895709a532c4"),
-    ("fig1", "molesp"): (121, 39, 75, 22, "da6c717b99683bc1"),
+    ("fig1", "lesp"): (72, 43, 75, 3, "8d49895709a532c4"),
+    ("fig1", "molesp"): (117, 43, 75, 22, "da6c717b99683bc1"),
     ("fig1_max4", "bft"): (250, 279, 0, 4, "e862ba2d684d29dc"),
     ("fig1_max4", "bft_m"): (250, 505, 0, 4, "e862ba2d684d29dc"),
     ("fig1_max4", "bft_am"): (250, 759, 0, 4, "e862ba2d684d29dc"),
@@ -69,8 +69,8 @@ PINNED = {
     ("star3x2", "gam"): (40, 2, 24, 1, "32c5954a8c7f88ef"),
     ("star3x2", "esp"): (22, 20, 24, 1, "32c5954a8c7f88ef"),
     ("star3x2", "moesp"): (28, 20, 24, 1, "32c5954a8c7f88ef"),
-    ("star3x2", "lesp"): (24, 18, 24, 1, "32c5954a8c7f88ef"),
-    ("star3x2", "molesp"): (30, 18, 24, 1, "32c5954a8c7f88ef"),
+    ("star3x2", "lesp"): (22, 20, 24, 1, "32c5954a8c7f88ef"),
+    ("star3x2", "molesp"): (28, 20, 24, 1, "32c5954a8c7f88ef"),
     ("comb2111", "bft"): (14, 8, 0, 1, "8142e49b43bb29ce"),
     ("comb2111", "bft_m"): (14, 14, 0, 1, "8142e49b43bb29ce"),
     ("comb2111", "bft_am"): (14, 18, 0, 1, "8142e49b43bb29ce"),
@@ -101,8 +101,8 @@ PINNED = {
     ("m3_2", "gam"): (474, 18, 302, 33, "e64ad14f2a0581d4"),
     ("m3_2", "esp"): (147, 144, 171, 20, "b8632c21c73311eb"),
     ("m3_2", "moesp"): (200, 154, 171, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "lesp"): (229, 108, 199, 20, "b8632c21c73311eb"),
-    ("m3_2", "molesp"): (288, 112, 199, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "lesp"): (211, 126, 199, 20, "b8632c21c73311eb"),
+    ("m3_2", "molesp"): (270, 130, 199, 33, "e64ad14f2a0581d4"),
     ("m3_3", "bft"): (1308, 673, 0, 31, "9528721a5508094c"),
     ("m3_3", "bft_m"): (1308, 2580, 0, 31, "9528721a5508094c"),
     ("m3_3", "bft_am"): (1350, 3032, 0, 31, "9528721a5508094c"),
@@ -117,8 +117,8 @@ PINNED = {
     ("m3_4", "gam"): (466, 24, 331, 35, "47e461445d7095ac"),
     ("m3_4", "esp"): (167, 126, 195, 23, "bb4b6db93ec18585"),
     ("m3_4", "moesp"): (219, 137, 195, 35, "47e461445d7095ac"),
-    ("m3_4", "lesp"): (258, 86, 234, 23, "bb4b6db93ec18585"),
-    ("m3_4", "molesp"): (318, 89, 234, 35, "47e461445d7095ac"),
+    ("m3_4", "lesp"): (234, 110, 234, 23, "bb4b6db93ec18585"),
+    ("m3_4", "molesp"): (294, 113, 234, 35, "47e461445d7095ac"),
     ("m3_2_uni", "bft"): (1035, 1008, 0, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "bft_m"): (1035, 2118, 0, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "bft_am"): (1084, 3755, 0, 4, "6451b39587ad3c76"),
@@ -203,9 +203,9 @@ EXTRA_PINNED = {
     ("cdf16", "lesp"): (704, 192, 704, 64, "7684550037207385"),
     ("cdf16", "molesp"): (704, 192, 704, 64, "7684550037207385"),
     ("m456_50", "moesp"): (2951, 1479, 554, 42, "6fe431d49d7383c5"),
-    ("m456_50", "molesp"): (3460, 1392, 735, 42, "6fe431d49d7383c5"),
+    ("m456_50", "molesp"): (3446, 1406, 735, 42, "6fe431d49d7383c5"),
     ("m456_70", "moesp"): (817, 602, 301, 69, "f49702cb10ce57ee"),
-    ("m456_70", "molesp"): (987, 606, 378, 69, "f49702cb10ce57ee"),
+    ("m456_70", "molesp"): (959, 634, 378, 69, "f49702cb10ce57ee"),
     ("m456_80", "moesp"): (415, 332, 154, 10, "695cb635f102a85e"),
     ("m456_80", "molesp"): (415, 332, 154, 10, "695cb635f102a85e"),
     ("m456_6", "bft_m"): (5283, 11824, 0, 164, "2cd92d0252e183c0"),
@@ -269,16 +269,16 @@ FULL_PINNED = {
     ("fig1_top3", "gam"): (329, 4, 208, 22, "05229f6033700c5e"),
     ("fig1_top3", "esp"): (63, 44, 71, 3, "ca28f1062b68b94d"),
     ("fig1_top3", "moesp"): (107, 45, 71, 22, "05229f6033700c5e"),
-    ("fig1_top3", "lesp"): (76, 39, 75, 3, "ca28f1062b68b94d"),
-    ("fig1_top3", "molesp"): (121, 39, 75, 22, "05229f6033700c5e"),
+    ("fig1_top3", "lesp"): (72, 43, 75, 3, "ca28f1062b68b94d"),
+    ("fig1_top3", "molesp"): (117, 43, 75, 22, "05229f6033700c5e"),
     ("m3_2_universal", "bft"): (1035, 1008, 0, 33, "03e4866887a274ee"),
     ("m3_2_universal", "bft_m"): (1035, 2118, 0, 33, "03e4866887a274ee"),
     ("m3_2_universal", "bft_am"): (1084, 3755, 0, 33, "03e4866887a274ee"),
     ("m3_2_universal", "gam"): (474, 18, 302, 33, "03e4866887a274ee"),
     ("m3_2_universal", "esp"): (147, 144, 171, 20, "698144f42b674ef7"),
     ("m3_2_universal", "moesp"): (200, 154, 171, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "lesp"): (229, 108, 199, 20, "698144f42b674ef7"),
-    ("m3_2_universal", "molesp"): (288, 112, 199, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "lesp"): (211, 126, 199, 20, "698144f42b674ef7"),
+    ("m3_2_universal", "molesp"): (270, 130, 199, 33, "03e4866887a274ee"),
 }
 
 
