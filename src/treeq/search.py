@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import chain, count
+from types import MethodType
 from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
@@ -78,8 +79,8 @@ class RootedTree(NamedTuple):
     root: int
     nodes: frozenset[int]
     covered: int
-    path_anchor: int | None = None
-    gained: bool = False
+    path_anchor: int | None
+    gained: bool
 
 
 class _GenTree(NamedTuple):
@@ -87,8 +88,15 @@ class _GenTree(NamedTuple):
     nodes: frozenset[int]
     covered: int
     nbits: int  # one bit per node, numbered by when the search first reached it
-    ebits: int  # one bit per edge, numbered the same way; the deduplication identity
+    ebits: int  # one bit per edge, numbered as the grow steps list them; the deduplication identity
     loose: int  # the nbits of the leaves that are no seeds
+
+
+# The drivers build their records from one tuple of every field through these
+# names, which skip the generated keyword-handling ``__new__`` (about half the
+# cost of a record).
+_new_rooted_tree = MethodType(tuple.__new__, RootedTree)
+_new_gen_tree = MethodType(tuple.__new__, _GenTree)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +191,13 @@ def _rooted_search(
     * Merge: a recorded tree merges, round by round to a fixpoint, with
       the trees recorded at its root before the scan started, in record
       order. A partner has an edge, shares no node but the root, covers no
-      set the tree covers other than through the root, and keeps the union
-      within ``MAX``.
+      set the tree covers other than through the root (the clash test,
+      made per covered-mask bucket), and keeps the union within ``MAX``.
+      A grown tree is merged only when its root holds a bucket besides its
+      own, or it covers no set outside the root's bits. It covers the seed
+      it grew from, so its own bucket fails the clash test: the skipped
+      merge would build and count nothing. Copies land on seeds, beside
+      the start tree's bucket, so they are always merged.
 
     The deadline is checked before every pop and every merge round.
     """
@@ -197,6 +210,7 @@ def _rooted_search(
     reroot = algorithm in ("moesp", "molesp") and not uni
     edge_set_pruned = algorithm in EDGE_SET_PRUNED
     spares_merges = algorithm in ("lesp", "molesp")
+    new_tree = _new_rooted_tree
 
     # grow pairs (len(key), key, root, edge, tree, far node, far seed bits);
     # (key, root, edge) is unique, so entries never compare past the edge
@@ -212,7 +226,8 @@ def _rooted_search(
 
     def settle(t: RootedTree) -> bool:
         """Count ``t``; file it as a result, or record it, merge its copies
-        and queue its grow pairs. True when it was recorded."""
+        and queue its grow pairs. True when it was recorded and a tree
+        recorded at its root may pass its clash test."""
         key, root, nodes, covered, _, gained = t
         stats.provenances_built += 1
         # deduplication lets a tree through only at a root new to its edge
@@ -225,20 +240,23 @@ def _rooted_search(
         entry = (next_record(), t)
         buckets = by_root.get(root)
         if buckets is None:
-            by_root[root] = {covered: [entry]}
+            buckets = by_root[root] = {covered: [entry]}
         else:
             buckets.setdefault(covered, []).append(entry)
         if reroot and gained:
             for n in sorted(nodes):
                 if not bits(n) or n in roots:
                     continue
-                copy = RootedTree(key, n, nodes, covered)
+                copy = new_tree((key, n, nodes, covered, None, False))
                 stats.provenances_built += 1
                 by_root.setdefault(n, {}).setdefault(covered, []).append((next_record(), copy))
                 roots = seen[key] = roots + (n,)
                 merge(copy)
+        # t's own bucket fails t's clash test unless t covers nothing outside
+        # the root (the copies' merges above may have filed other buckets)
+        partnered = len(buckets) > 1 or not covered & ~bits(root, 0)
         if max_edges is not None and len(key) >= max_edges:
-            return True
+            return partnered
         size = len(key)
         for e in around(root):
             _, source, target, label = edges[e]
@@ -252,46 +270,52 @@ def _rooted_search(
                 continue
             queue = queues.setdefault(covered, []) if multi_queue else heap
             heappush(queue, (size, key, root, e, t, far, far_bits))
-        return True
+        return partnered
 
     def merge(t: RootedTree) -> None:
         """Merge ``t`` and every merge product with the recorded trees, to fixpoint."""
+        root = t.root
+        buckets, root_bits = by_root[root], bits(root, 0)
+        # every merge tree has t's root, and signatures change only at pops,
+        # so the spare rule gives one answer all through the merge
+        prune_seen = edge_set_pruned and not (
+            spares_merges and signatures.get(root, 0).bit_count() >= 3 and g.degree(root) >= 3
+        )
         pending = [t]
         while pending:
             if deadline is not None and time.monotonic() > deadline:
                 return
             current, pending = pending, []
             for t1 in current:
-                key1, root, nodes1, covered1, _, _ = t1
-                clash = covered1 & ~bits(root, 0)
-                lists = [records for mask, records in by_root[root].items() if not mask & clash]
+                key1, _, nodes1, covered1, _, _ = t1
+                clash = covered1 & ~root_bits
+                lists = [records for mask, records in buckets.items() if not mask & clash]
+                if not lists:
+                    continue
                 # every tree recorded at the root while t1 merges contains t1, so
                 # the shared-node test skips the records this loop appends
                 partners = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+                away = nodes1 - {root}
                 room = None if max_edges is None else max_edges - len(key1)
                 for _, t2 in partners:
                     key2, _, nodes2, covered2, _, _ = t2
-                    if not key2 or len(nodes1 & nodes2) != 1 or (room is not None and len(key2) > room):
+                    if not key2 or not away.isdisjoint(nodes2) or (room is not None and len(key2) > room):
                         continue
                     key = tuple(sorted(key1 + key2))
                     roots = seen.get(key)
-                    if roots is not None and (
-                        root in roots
-                        or edge_set_pruned
-                        and not (spares_merges and signatures.get(root, 0).bit_count() >= 3 and g.degree(root) >= 3)
-                    ):
+                    if roots is not None and (root in roots or prune_seen):
                         stats.trees_pruned += 1
                         continue
                     # each input holds a seed besides the root, of a set the other
                     # does not cover, so a merge always gains
-                    merged = RootedTree(key, root, nodes1 | nodes2, covered1 | covered2, None, True)
+                    merged = new_tree((key, root, nodes1 | nodes2, covered1 | covered2, None, True))
                     if settle(merged):
                         pending.append(merged)
 
     try:
         for s in _start_nodes(g, seeds):
             signatures[s] = signatures.get(s, 0) | bits(s)
-            settle(RootedTree((), s, frozenset((s,)), bits(s), s))
+            settle(new_tree(((), s, frozenset((s,)), bits(s), s, False)))
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 stats.timed_out = True
@@ -326,7 +350,7 @@ def _rooted_search(
                 stats.trees_pruned += 1
                 continue
             # far's seed sets are not covered by t yet, so any seed bit is a gain
-            grown = RootedTree(key, far, nodes | {far}, covered | far_bits, anchor, far_bits != 0)
+            grown = new_tree((key, far, nodes | {far}, covered | far_bits, anchor, far_bits != 0))
             if settle(grown):
                 merge(grown)
     finally:
@@ -340,15 +364,6 @@ def _rooted_search(
 # Generation-based driver
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _run_generations(
     g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
 ) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -358,27 +373,33 @@ def _run_generations(
     Each generation grows every tree of the last one by one edge at any of
     its nodes, node by node in edge-id order. An edge may extend a tree
     below ``MAX`` when it passes ``LABEL`` and its far node is new to the
-    tree and no seed of a set the tree covers. A tree whose edge set was
-    seen before is pruned before it is built. ``bft_m`` merges each grown
-    tree once with the kept trees it can join at one shared node; ``bft_am``
-    merges the merge products too. The deadline is checked before each
-    tree is grown.
+    tree and no seed of a set the tree covers. The first time a node is
+    grown at, its grow steps ``(edge, far node, far seed bits, edge bit)``
+    are listed once for the search, ``LABEL`` and self-loops left out; the
+    other two tests depend on the tree and are made per step. A tree whose
+    edge set was seen before is pruned before it is built. ``bft_m`` merges
+    each grown tree once with the kept trees it can join at one shared
+    node; ``bft_am`` merges the merge products too. The deadline is checked
+    before each tree is grown.
     """
     edges, adjacent, full_mask, bits = g.edges, g.adjacent_edges, seeds.full_mask, seeds.node_bits.get
     labels_ok, max_edges = filters.labels, filters.max_edges
     merging = algorithm in ("bft_m", "bft_am")
     aggressive = algorithm == "bft_am"
+    new_tree = _new_gen_tree
     results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     # the edge sets seen so far; start trees have none and are all distinct
     memory: set[int] = set()
-    # merge partners bucketed by (shared node, covered mask), then grouped by
-    # node set: only buckets whose covered sets cannot collide outside the
-    # shared node are reached, and only groups sharing that node alone are read
-    by_node_cov: dict[tuple[int, int], dict[int, list[tuple[int, _GenTree]]]] = {}
+    # merge partners filed under each of their nodes by covered mask, in
+    # descending mask order, then grouped by node set: a merge walks only
+    # the masks that cannot clash outside the shared node, and reads only
+    # the groups that share that node alone
+    by_node: dict[int, dict[int, dict[int, list[tuple[int, _GenTree]]]]] = {}
     next_record = count().__next__
     # per-search node and edge bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
     ebit_of: dict[int, int] = {}
+    steps_of: dict[int, list[tuple[int, int, int, int]]] = {}  # node -> its grow steps, listed on first use
 
     def keep(t: _GenTree) -> bool:
         """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
@@ -407,8 +428,16 @@ def _run_generations(
 
     def index(t: _GenTree) -> None:
         entry = (next_record(), t)
-        for n in t.nodes:
-            by_node_cov.setdefault((n, t.covered), {}).setdefault(t.nbits, []).append(entry)
+        _, nodes, covered, nbits, _, _ = t
+        for n in nodes:
+            masks = by_node.get(n, {})
+            groups = masks.get(covered)
+            if groups is None:
+                # a new mask: the node's map is rebuilt, never changed in place,
+                # since a merge may be walking it
+                by_node[n] = dict(sorted({**masks, covered: {nbits: [entry]}}.items(), reverse=True))
+            else:
+                groups.setdefault(nbits, []).append(entry)
 
     def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
         queue = [t]
@@ -417,10 +446,9 @@ def _run_generations(
             room = None if max_edges is None else max_edges - len(cur_key)
             for n in sorted(cur_nodes):
                 n_bit = bit_of[n]
-                allowed = full_mask & ~(cur_covered & ~bits(n, 0))
-                for mask in _submasks(allowed):
-                    groups = by_node_cov.get((n, mask))
-                    if groups is None:
+                clash = cur_covered & ~bits(n, 0)
+                for mask, groups in by_node[n].items():
+                    if mask & clash:
                         continue
                     # the trees of one node set have as many edges, so one of them stands for all
                     lists = [
@@ -436,14 +464,14 @@ def _run_generations(
                             stats.trees_pruned += 1
                             continue
                         memory.add(ebits)
-                        merged = _GenTree(
+                        merged = new_tree((
                             tuple(sorted(cur_key + partner.key)),
                             cur_nodes | partner.nodes,
                             cur_covered | partner.covered,
                             cur_nbits | partner.nbits,
                             ebits,
                             (cur_loose | partner.loose) & ~n_bit,  # n has an edge on both sides
-                        )
+                        ))
                         if keep(merged):
                             generation.append(merged)
                             index(merged)
@@ -452,7 +480,7 @@ def _run_generations(
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = _GenTree((), frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0)
+        t = new_tree(((), frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0))
         if keep(t):
             current.append(t)
 
@@ -466,32 +494,33 @@ def _run_generations(
             if max_edges is not None and len(key) >= max_edges:
                 continue
             for n in sorted(nodes):
+                steps = steps_of.get(n)
+                if steps is None:
+                    steps = steps_of[n] = []
+                    for e in adjacent(n):
+                        _, source, target, label = edges[e]
+                        far = source if target == n else target
+                        if far != n and (labels_ok is None or label in labels_ok):
+                            steps.append((e, far, bits(far, 0), ebit_of.setdefault(e, 1 << len(ebit_of))))
                 # the near end stops being a leaf; a start tree's only node is a seed
                 near_loose = loose & ~bit_of[n]
-                for e in adjacent(n):
-                    _, source, target, label = edges[e]
-                    if labels_ok is not None and label not in labels_ok:
+                for e, far, far_bits, e_bit in steps:
+                    if far in nodes or far_bits & covered:
                         continue
-                    far = source if target == n else target
-                    if far in nodes:
-                        continue
-                    far_bits = bits(far, 0)
-                    if far_bits & covered:
-                        continue
-                    ebits = t_ebits | ebit_of.setdefault(e, 1 << len(ebit_of))
+                    ebits = t_ebits | e_bit
                     if ebits in memory:
                         stats.trees_pruned += 1
                         continue
                     memory.add(ebits)
                     far_bit = bit_of.setdefault(far, 1 << len(bit_of))
-                    grown = _GenTree(
+                    grown = new_tree((
                         tuple(sorted(key + (e,))),
                         nodes | {far},
                         covered | far_bits,
                         nbits | far_bit,
                         ebits,
                         near_loose if far_bits else near_loose | far_bit,
-                    )
+                    ))
                     if keep(grown):
                         nxt.append(grown)
                         if merging:

@@ -23,15 +23,16 @@ ROOTED = ("gam", "esp", "moesp", "lesp", "molesp")
 
 class _Trace:
     """Records rooted search through the names ``_rooted_search`` looks up
-    when it runs: every tree it builds (``RootedTree``), every grow pair it
-    queues (``heappush``) and every pair it pops (``heappop``), in order."""
+    when it runs: every tree it builds (``_new_rooted_tree``), every grow
+    pair it queues (``heappush``) and every pair it pops (``heappop``, with
+    the queue it came from), in order."""
 
     def __init__(self, monkeypatch):
         self.events: list[tuple] = []
-        tree, push, pop = search.RootedTree, search.heappush, search.heappop
+        tree, push, pop = search._new_rooted_tree, search.heappush, search.heappop
 
-        def built(*fields):
-            t = tree(*fields)
+        def built(fields):
+            t = tree(fields)
             self.events.append(("built", t))
             return t
 
@@ -41,10 +42,10 @@ class _Trace:
 
         def popped(queue):
             entry = pop(queue)
-            self.events.append(("popped", entry))
+            self.events.append(("popped", entry, queue))
             return entry
 
-        monkeypatch.setattr(search, "RootedTree", built)
+        monkeypatch.setattr(search, "_new_rooted_tree", built)
         monkeypatch.setattr(search, "heappush", queued)
         monkeypatch.setattr(search, "heappop", popped)
 
@@ -325,6 +326,42 @@ def test_merge_covered_algebra(fig1, monkeypatch):
     for seeds in (SeedSets([(2, 4), (3, 6), (9,)]), SeedSets([(2, 3), (3, 6), (9, 2)])):
         for algorithm in ROOTED:
             _check_trace(trace, fig1, seeds, algorithm)
+
+
+def test_skipped_merges_had_no_partner(fig1, tee_abc, monkeypatch):
+    # a grown tree is merged only when its root holds a bucket besides its
+    # own (or it covers no set outside the root): every tree recorded at the
+    # root before it that passes the clash test, shares only the root and
+    # fits MAX still has the union of their edge sets built, now or earlier
+    trace = _Trace(monkeypatch)
+    fig1_seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    cases = [(fig1, fig1_seeds), tee_abc, *_three_set_seeds(), *_random_instances(2727, 20, m_choices=(2, 3, 4))]
+    runs = [(g, seeds, {}) for g, seeds in cases] + [(fig1, fig1_seeds, {"max_edges": 4})]
+    skipped = partnered = 0
+    for g, seeds, filters in runs:
+        max_edges = filters.get("max_edges")
+        bits, full = seeds.node_bits.get, seeds.full_mask
+        for algorithm in ROOTED:
+            trace.run(g, seeds, algorithm, **filters)
+            built = trace.built
+            keys = {t.key for t in built}
+            for _, _, t in trace.steps:
+                if t is None or t.covered == full:
+                    continue
+                i = trace.position(t)
+                earlier = [p for p in built[:i] if p.root == t.root and p.covered != full]
+                clash = t.covered & ~bits(t.root, 0)
+                passing = [p for p in earlier if not p.covered & clash]
+                if not passing and all(p.covered == t.covered for p in earlier):
+                    skipped += 1  # only its own bucket, which it clashes with
+                for p in passing:
+                    if p.key and p.nodes & t.nodes == {t.root} and (
+                        max_edges is None or len(p.key) + len(t.key) <= max_edges
+                    ):
+                        partnered += 1
+                        assert tuple(sorted(p.key + t.key)) in keys, (algorithm, t, p)
+    # the rule engages, and the check has merges to look at
+    assert skipped > 0 and partnered > 0
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +683,9 @@ def _filtered_oracle(g, edge_sets, singles, filters):
 
 
 def test_bft_agrees_with_subset_enumeration_oracle():
-    # so do the merging variants, and bft under each tree-level filter
-    runs = [("bft", CtpFilters()), ("bft_m", CtpFilters()), ("bft_am", CtpFilters())]
-    runs += [("bft", f) for f in (CtpFilters(uni=True), CtpFilters(labels=frozenset({"a"})), CtpFilters(max_edges=3))]
+    # so do the merging variants, with and without each tree-level filter
+    filters = (CtpFilters(), CtpFilters(uni=True), CtpFilters(labels=frozenset({"a"})), CtpFilters(max_edges=3))
+    runs = [(algo, f) for algo in ("bft", "bft_m", "bft_am") for f in filters]
     rng = random.Random(4242)
     for _ in range(30):
         m = rng.choice([2, 2, 3])
@@ -666,8 +703,8 @@ def test_generation_search_minimizes_only_what_it_reports(monkeypatch, algorithm
     calls = []
     monkeypatch.setattr(search, "minimize", lambda *a: calls.append(a) or minimize(*a))
     built = []
-    gen_tree = search._GenTree
-    monkeypatch.setattr(search, "_GenTree", lambda *fields: built.append(gen_tree(*fields)) or built[-1])
+    gen_tree = search._new_gen_tree
+    monkeypatch.setattr(search, "_new_gen_tree", lambda fields: built.append(gen_tree(fields)) or built[-1])
     rng = random.Random(3131)
     reported = full_cover = 0
     for _ in range(15):
@@ -731,6 +768,42 @@ def test_multi_queue_engages_automatically_on_skewed_sets(fig1, monkeypatch):
     assert len(_queue_masks(trace)) == 1
 
 
+def test_multi_queue_pops_the_fewest_pairs_and_creates_queues_on_push(fig1, monkeypatch):
+    # a queue is created only when a pair is pushed into it and deleted when
+    # drained: an empty queue would have the fewest pairs, win the next pop
+    # and be popped empty. Replayed from the trace, every pop takes the
+    # nonempty queue with the fewest pairs, then the smallest covered mask
+    trace = _Trace(monkeypatch)
+    cases = [
+        (SeedSets([tuple(range(1, 11)), (11,)]), {}),
+        (SeedSets([tuple(range(1, 11)), (11,), (12,)]), {}),
+        (SeedSets([tuple(range(1, 11)), (11,), (12,)]), {"labels": frozenset({"founded", "investsIn", "affiliation"})}),
+    ]
+    without_pairs = 0
+    for seeds, filters in cases:
+        trace.run(fig1, seeds, "molesp", **filters)
+        pending: dict[int, int] = {}  # queue identity -> pairs in it
+        mask_of: dict[int, int] = {}
+        queued_by = {id(ev[2][4]) for ev in trace.events if ev[0] == "queued"}
+        grown = {id(t) for _, _, t in trace.steps if t is not None}
+        for ev in trace.events:
+            if ev[0] == "queued":
+                q = id(ev[1])
+                pending[q] = pending.get(q, 0) + 1
+                mask_of[q] = ev[2][4].covered
+            elif ev[0] == "popped":
+                q = id(ev[2])
+                live = [(n, mask_of[k], k) for k, n in pending.items() if n]
+                assert min(live)[2] == q
+                pending[q] -= 1
+            elif id(ev[1]) in grown and ev[1].covered != seeds.full_mask and id(ev[1]) not in queued_by:
+                # a recorded tree that queues nothing: creating its queue up
+                # front would leave an empty one behind when none is live
+                without_pairs += not any(n and mask_of[k] == ev[1].covered for k, n in pending.items())
+        assert len(mask_of) > 1
+    assert without_pairs > 0
+
+
 def test_timeout_is_flagged_and_partial():
     w = gen_chain(18)
     results, stats = run_search(
@@ -757,15 +830,15 @@ def test_deadline_stops_merging_at_the_next_round(fig1, monkeypatch):
 
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
     trace = _Trace(monkeypatch)
-    traced = search.RootedTree
+    traced = search._new_rooted_tree
 
-    def built(*fields):
-        t = traced(*fields)
+    def built(fields):
+        t = traced(fields)
         if (t.key, t.root) in expire_at:
             passed.append(len(trace.built) - 1)
         return t
 
-    monkeypatch.setattr(search, "RootedTree", built)
+    monkeypatch.setattr(search, "_new_rooted_tree", built)
     trace.run(fig1, seeds, "gam", timeout_ms=1000)
     pops = [sum(ev[0] == "popped" for ev in trace.events[:i]) for i, ev in enumerate(trace.events) if ev[0] == "built"]
     # a tree merged again before the next pop: in the next round of the same merge
@@ -957,10 +1030,12 @@ def test_merging_variants_stay_complete():
 def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
     # merge partners are chosen on per-search node bitsets: node ids of 10**12
     # and more must neither change an outcome nor widen the bitsets; every
-    # built tree carries one bit per edge and the bits of its non-seed leaves
+    # built tree carries one bit per edge and the bits of its non-seed leaves.
+    # Each node's grow steps are listed once per search, from one read of its
+    # adjacency, and only the edges listed get a bit
     built = []
-    gen_tree = search._GenTree
-    monkeypatch.setattr(search, "_GenTree", lambda *fields: built.append(gen_tree(*fields)) or built[-1])
+    gen_tree = search._new_gen_tree
+    monkeypatch.setattr(search, "_new_gen_tree", lambda fields: built.append(gen_tree(fields)) or built[-1])
     rng = random.Random(4242)
     for _ in range(12):
         small, seeds = gen_random_instance(rng, max_nodes=10, max_edges=15, n_labels=2, m=rng.choice([2, 3]))
@@ -971,22 +1046,28 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
             [e._replace(source=big_id[e.source], target=big_id[e.target]) for e in small.edges.values()],
         )
         big_seeds = SeedSets([{big_id[n] for n in s} for s in seeds.sets])
-        for algo in ("bft_m", "bft_am"):
+        reads = []
+        big.adjacent_edges = lambda n: reads.append(n) or Graph.adjacent_edges(big, n)
+        for algo in ("bft", "bft_m", "bft_am"):
             expected, expected_stats = run_search(small, seeds, SearchConfig(algorithm=algo))
             built.clear()
+            reads.clear()
             found, stats = run_search(big, big_seeds, SearchConfig(algorithm=algo))
             assert stats == expected_stats
+            assert len(reads) == len(set(reads))
             relabelled = [
                 (rt.edges, tuple(small_id[n] for n in rt.nodes), tuple(small_id[n] for n in rt.seed_tuple),
                  small_id[rt.root])
                 for rt in found
             ]
             assert relabelled == [(rt.edges, rt.nodes, rt.seed_tuple, rt.root) for rt in expected]
-            reached = len(frozenset().union(*(t.nodes for t in built)))
+            reached = frozenset().union(*(t.nodes for t in built))
+            assert set(reads) <= reached
+            nearby = len({e for n in reached for e in Graph.adjacent_edges(big, n)})
             bit = {}  # node -> its bit: a tree is built after the trees it grows or merges from
             for t in built:
-                assert t.nbits.bit_count() == len(t.nodes) and t.nbits.bit_length() <= reached
-                assert t.ebits.bit_count() == len(t.key)
+                assert t.nbits.bit_count() == len(t.nodes) and t.nbits.bit_length() <= len(reached)
+                assert t.ebits.bit_count() == len(t.key) and t.ebits.bit_length() <= nearby
                 unknown = [n for n in t.nodes if n not in bit]
                 assert len(unknown) <= 1
                 if unknown:
