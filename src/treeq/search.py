@@ -84,11 +84,12 @@ class RootedTree(NamedTuple):
 
 
 class _GenTree(NamedTuple):
-    key: tuple[int, ...]
     nodes: frozenset[int]
     covered: int
     nbits: int  # one bit per node, numbered by when the search first reached it
-    ebits: int  # one bit per edge, numbered as the grow steps list them; the deduplication identity
+    # one bit per edge, numbered as the grow steps list them: the edge set
+    # itself; sorted edge ids are formed only for a reported result
+    ebits: int
     loose: int  # the nbits of the leaves that are no seeds
 
 
@@ -374,13 +375,15 @@ def _run_generations(
     its nodes, node by node in edge-id order. An edge may extend a tree
     below ``MAX`` when it passes ``LABEL`` and its far node is new to the
     tree and no seed of a set the tree covers. The first time a node is
-    grown at, its grow steps ``(edge, far node, far seed bits, edge bit)``
-    are listed once for the search, ``LABEL`` and self-loops left out; the
-    other two tests depend on the tree and are made per step. A tree whose
-    edge set was seen before is pruned before it is built. ``bft_m`` merges
-    each grown tree once with the kept trees it can join at one shared
-    node; ``bft_am`` merges the merge products too. The deadline is checked
-    before each tree is grown.
+    grown at, its grow steps ``(far node, far seed bits, edge bit)`` are
+    listed once for the search, ``LABEL`` and self-loops left out; the
+    other two tests depend on the tree and are made per step. A tree's edge
+    bits are its edge set: a tree whose edge bits were seen before is pruned
+    before it is built, and sorted edge ids are formed only for a tree that
+    is reported. ``bft_m`` merges each grown tree once with the kept trees
+    it can join at one shared node; ``bft_am`` merges the merge products
+    too. The deadline is checked before each tree is grown and before each
+    tree of a merge queue is merged; once it has passed, the search ends.
     """
     edges, adjacent, full_mask, bits = g.edges, g.adjacent_edges, seeds.full_mask, seeds.node_bits.get
     labels_ok, max_edges = filters.labels, filters.max_edges
@@ -398,8 +401,8 @@ def _run_generations(
     next_record = count().__next__
     # per-search node and edge bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
-    ebit_of: dict[int, int] = {}
-    steps_of: dict[int, list[tuple[int, int, int, int]]] = {}  # node -> its grow steps, listed on first use
+    ebit_of: dict[int, int] = {}  # edge -> its bit; the edges are listed in bit order
+    steps_of: dict[int, list[tuple[int, int, int]]] = {}  # node -> its grow steps, listed on first use
 
     def keep(t: _GenTree) -> bool:
         """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
@@ -421,14 +424,16 @@ def _run_generations(
         # earlier generation than M. bft cannot, since M is smaller and comes
         # first.
         if not t.loose:
+            # bin() lists the edge bits highest first; ebit_of lists the edges lowest bit first
+            key = tuple(sorted(e for e, b in zip(ebit_of, bin(t.ebits)[:1:-1]) if b == "1"))
             # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
-            minimize(g, t.key, seeds)
-            results.add((t.key, tuple(sorted(t.nodes))))
+            minimize(g, key, seeds)
+            results.add((key, tuple(sorted(t.nodes))))
         return False
 
     def index(t: _GenTree) -> None:
         entry = (next_record(), t)
-        _, nodes, covered, nbits, _, _ = t
+        nodes, covered, nbits, _, _ = t
         for n in nodes:
             masks = by_node.get(n, {})
             groups = masks.get(covered)
@@ -439,11 +444,15 @@ def _run_generations(
             else:
                 groups.setdefault(nbits, []).append(entry)
 
-    def merge_round(t: _GenTree, generation: list[_GenTree]) -> None:
+    def merge_round(t: _GenTree, generation: list[_GenTree]) -> bool:
+        """Merge ``t`` (and, under ``bft_am``, its merge products); False once the deadline has passed."""
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
-            cur_key, cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose = cur
-            room = None if max_edges is None else max_edges - len(cur_key)
+            if deadline is not None and time.monotonic() > deadline:
+                stats.timed_out = True
+                return False
+            cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose = cur
+            room = None if max_edges is None else max_edges - cur_ebits.bit_count()
             for n in sorted(cur_nodes):
                 n_bit = bit_of[n]
                 clash = cur_covered & ~bits(n, 0)
@@ -454,7 +463,7 @@ def _run_generations(
                     lists = [
                         records
                         for nbits, records in groups.items()
-                        if nbits & cur_nbits == n_bit and (room is None or len(records[0][1].key) <= room)
+                        if nbits & cur_nbits == n_bit and (room is None or records[0][1].ebits.bit_count() <= room)
                     ]
                     if not lists:
                         continue
@@ -465,7 +474,6 @@ def _run_generations(
                             continue
                         memory.add(ebits)
                         merged = new_tree((
-                            tuple(sorted(cur_key + partner.key)),
                             cur_nodes | partner.nodes,
                             cur_covered | partner.covered,
                             cur_nbits | partner.nbits,
@@ -477,10 +485,11 @@ def _run_generations(
                             index(merged)
                             if aggressive:
                                 queue.append(merged)
+        return True
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = new_tree(((), frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0))
+        t = new_tree((frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0))
         if keep(t):
             current.append(t)
 
@@ -490,8 +499,8 @@ def _run_generations(
             if deadline is not None and time.monotonic() > deadline:
                 stats.timed_out = True
                 return results
-            key, nodes, covered, nbits, t_ebits, loose = t
-            if max_edges is not None and len(key) >= max_edges:
+            nodes, covered, nbits, t_ebits, loose = t
+            if max_edges is not None and t_ebits.bit_count() >= max_edges:
                 continue
             for n in sorted(nodes):
                 steps = steps_of.get(n)
@@ -501,10 +510,10 @@ def _run_generations(
                         _, source, target, label = edges[e]
                         far = source if target == n else target
                         if far != n and (labels_ok is None or label in labels_ok):
-                            steps.append((e, far, bits(far, 0), ebit_of.setdefault(e, 1 << len(ebit_of))))
+                            steps.append((far, bits(far, 0), ebit_of.setdefault(e, 1 << len(ebit_of))))
                 # the near end stops being a leaf; a start tree's only node is a seed
                 near_loose = loose & ~bit_of[n]
-                for e, far, far_bits, e_bit in steps:
+                for far, far_bits, e_bit in steps:
                     if far in nodes or far_bits & covered:
                         continue
                     ebits = t_ebits | e_bit
@@ -514,7 +523,6 @@ def _run_generations(
                     memory.add(ebits)
                     far_bit = bit_of.setdefault(far, 1 << len(bit_of))
                     grown = new_tree((
-                        tuple(sorted(key + (e,))),
                         nodes | {far},
                         covered | far_bits,
                         nbits | far_bit,
@@ -525,7 +533,8 @@ def _run_generations(
                         nxt.append(grown)
                         if merging:
                             index(grown)
-                            merge_round(grown, nxt)
+                            if not merge_round(grown, nxt):
+                                return results
         current = nxt
     return results
 

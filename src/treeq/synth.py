@@ -303,15 +303,36 @@ def write_workload(w: Workload, out_dir: str | Path) -> None:
 
 
 def load_workload(in_dir: str | Path) -> Workload:
+    """Read a workload written by ``write_workload``; a malformed manifest
+    raises a ``GenError`` that names ``workload.json`` and the field."""
     src = Path(in_dir)
-    manifest = json.loads((src / "workload.json").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads((src / "workload.json").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise GenError(f"workload.json: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise GenError(f"workload.json: expected a JSON object, got {type(manifest).__name__}")
+    for name, kind, what in (("family", str, "a string"), ("parameters", dict, "an object"),
+                             ("expectedResults", int, "an integer")):
+        if name not in manifest:
+            raise GenError(f"workload.json: missing field {name!r}")
+        if not isinstance(manifest[name], kind):
+            raise GenError(f"workload.json: field {name!r} must be {what}")
+    seed_sets, query = manifest.get("seedSets"), manifest.get("query")
+    if seed_sets is not None and not (
+        isinstance(seed_sets, list) and all(isinstance(s, list) and all(type(n) is int for n in s) for s in seed_sets)
+    ):
+        raise GenError("workload.json: field 'seedSets' must be null or a list of lists of node ids")
+    if query is not None and not isinstance(query, str):
+        raise GenError("workload.json: field 'query' must be null or a string")
+    if seed_sets is None and query is None:
+        raise GenError("workload.json: field 'seedSets' or 'query' must be set")
     graph = load_graph_files(str(src / "nodes.tsv"), str(src / "edges.tsv"))
-    seed_sets = manifest.get("seedSets")
     return Workload(
         family=manifest["family"],
         parameters=manifest["parameters"],
         graph=graph,
         seed_sets=tuple(tuple(s) for s in seed_sets) if seed_sets is not None else None,
-        query_text=manifest.get("query"),
+        query_text=query,
         expected_results=manifest["expectedResults"],
     )

@@ -187,6 +187,33 @@ def test_bad_budgets_and_reps_exit_1_naming_the_setting(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["bench", "oracle-check"])
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [
+        (lambda m: {**m, "seedSets": 5}, "field 'seedSets'"),
+        (lambda m: {**m, "seedSets": None, "query": None}, "field 'seedSets' or 'query'"),
+        (lambda m: [m], "expected a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "family"}, "missing field 'family'"),
+    ],
+    ids=["seed-sets-int", "no-seed-sets-no-query", "top-level-list", "no-family"],
+)
+def test_malformed_manifest_exits_1_naming_workload_json(tmp_path, capsys, command, edit, named):
+    main(["gen", "--family", "line", "--m", "3", "--nL", "1", "--out", str(tmp_path / "w")])
+    manifest = tmp_path / "w" / "workload.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    capsys.readouterr()
+    argv = {
+        "bench": ["bench", "--workload", str(tmp_path / "w"), "--algos", "molesp", "--csv", str(tmp_path / "b.csv")],
+        "oracle-check": ["oracle-check", "--workload", str(tmp_path / "w")],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err.startswith("error: workload.json: ") and named in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_gen_families(tmp_path, capsys):
     assert main(["gen", "--family", "chain", "--N", "3", "--out", str(tmp_path / "c")]) == EXIT_OK
     manifest = json.loads((tmp_path / "c" / "workload.json").read_text())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -714,7 +716,7 @@ def test_generation_search_minimizes_only_what_it_reports(monkeypatch, algorithm
         results, stats = run_search(g, seeds, SearchConfig(algorithm=algorithm))
         assert len(calls) == len(results) == stats.results_found
         reported += len(results)
-        full_cover += len({t.key for t in built if t.covered == seeds.full_mask})
+        full_cover += len({t.ebits for t in built if t.covered == seeds.full_mask})
     # the instances do keep full-cover trees that are not minimal
     assert full_cover > reported > 0
 
@@ -854,6 +856,64 @@ def test_deadline_stops_merging_at_the_next_round(fig1, monkeypatch):
     assert len(reads_after) == 2
     built_events = [i for i, ev in enumerate(trace.events) if ev[0] == "built"]
     assert not any(ev[0] == "popped" for ev in trace.events[built_events[first] :])
+
+
+@pytest.mark.parametrize("algorithm", ["bft_m", "bft_am"])
+def test_generation_deadline_is_read_before_each_merge_step(monkeypatch, algorithm):
+    # the clock is read before each tree is grown and before each tree of a
+    # merge queue is merged: bft_m merges each grown tree it keeps, bft_am
+    # each tree it keeps but the start trees. Once a read finds the deadline
+    # passed the search ends: it builds nothing more and reads no more
+    events: list[tuple] = []
+    expire_at: list[int] = []  # the read, counted from 1, from which on the clock is past any deadline
+
+    def monotonic():
+        events.append(("read", sys._getframe(1).f_code.co_name))
+        return 1e9 if expire_at and sum(ev[0] == "read" for ev in events) >= expire_at[0] else 0.0
+
+    gen_tree = search._new_gen_tree
+
+    def built(fields):
+        t = gen_tree(fields)
+        events.append(("built", sys._getframe(1).f_code.co_name, t))
+        return t
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(search, "_new_gen_tree", built)
+    g, seeds = gen_random_instance(random.Random(19), max_nodes=9, max_edges=14, n_labels=2, m=3, max_set_size=2)
+    expected = run_search(g, seeds, SearchConfig(algorithm=algorithm))
+    assert not any(ev[0] == "read" for ev in events)  # no budget, no clock
+    events.clear()
+    budget = SearchConfig(algorithm=algorithm, filters=CtpFilters(timeout_ms=1000))
+    assert run_search(g, seeds, budget) == expected  # a budget that does not run out changes nothing
+    kept = [(where, t) for ev, where, *t in events if ev == "built" and t[0].covered != seeds.full_mask]
+    merged = sum(where == "merge_round" for where, _ in kept)
+    grown = sum(where == "_run_generations" and t.ebits != 0 for where, (t,) in kept)
+    reads = [where for ev, where, *_ in events if ev == "read"]
+    assert merged > 0 and reads.count("run_search") == 1
+    assert reads.count("_run_generations") == len(kept)
+    assert reads.count("merge_round") == grown + (merged if algorithm == "bft_am" else 0)
+    full = list(events)
+    read_at = [i for i, ev in enumerate(full) if ev[0] == "read"]
+    for k in range(2, len(read_at) + 1):
+        expire_at[:] = [k]
+        events.clear()
+        _, stats = run_search(g, seeds, budget)
+        assert stats.timed_out
+        assert events == full[: read_at[k - 1] + 1], k
+
+
+def test_generation_merges_stop_soon_after_the_deadline():
+    # one bft_am merge fixpoint on this instance builds about 65,000 trees in
+    # about a second; a budget of 20 ms ends the search long before that
+    rng = random.Random(3)
+    for _ in range(19):
+        g, seeds = gen_random_instance(rng, max_nodes=16, max_edges=40, n_labels=2, m=4, max_set_size=2)
+    for algorithm in ("bft_m", "bft_am"):
+        start = time.perf_counter()
+        _, stats = run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=CtpFilters(timeout_ms=20)))
+        assert stats.timed_out
+        assert time.perf_counter() - start < 0.5, algorithm
 
 
 def test_determinism_results_and_stats(fig1):
@@ -1064,16 +1124,26 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
             reached = frozenset().union(*(t.nodes for t in built))
             assert set(reads) <= reached
             nearby = len({e for n in reached for e in Graph.adjacent_edges(big, n)})
+            # edge bits are numbered as the grow steps list the edges: adjacency
+            # reads in order, self-loops left out, each edge at its first listing
+            edge_at = list(dict.fromkeys(
+                e for n in reads for e in Graph.adjacent_edges(big, n) if big.edges[e].source != big.edges[e].target
+            ))
+            assert len(edge_at) <= nearby
             bit = {}  # node -> its bit: a tree is built after the trees it grows or merges from
+            seen_ebits = 0  # likewise, a tree holds at most one edge bit that no earlier tree holds
             for t in built:
                 assert t.nbits.bit_count() == len(t.nodes) and t.nbits.bit_length() <= len(reached)
-                assert t.ebits.bit_count() == len(t.key) and t.ebits.bit_length() <= nearby
+                key = [e for i, e in enumerate(edge_at) if t.ebits >> i & 1]
+                assert t.ebits.bit_count() == len(key) == len(t.nodes) - 1 and t.ebits.bit_length() <= len(edge_at)
+                assert (t.ebits & ~seen_ebits).bit_count() <= 1
+                seen_ebits |= t.ebits
                 unknown = [n for n in t.nodes if n not in bit]
                 assert len(unknown) <= 1
                 if unknown:
                     bit[unknown[0]] = t.nbits & ~sum(bit[n] for n in t.nodes if n in bit)
                 degree = dict.fromkeys(t.nodes, 0)
-                for eid in t.key:
+                for eid in key:
                     degree[big.edges[eid].source] += 1
                     degree[big.edges[eid].target] += 1
                 leaves = [n for n, d in degree.items() if d == 1 and n not in big_seeds.node_bits]
