@@ -7,7 +7,7 @@ from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .graph import Graph
-from .lang import Bgp, EdgePattern, Predicate, satisfies
+from .lang import Bgp, EdgePattern, Predicate, PredicateError, predicate_error, satisfies
 
 
 class JoinKindError(ValueError):
@@ -220,11 +220,16 @@ def evaluate_bgp(g: Graph, bgp: Bgp, synthetic: frozenset[str] = frozenset()) ->
     shares a variable with the patterns matched so far, matched by probing
     from every partial row (see ``_extend``), so no pattern is scanned on its
     own and joined afterwards. Synthetic shorthand variables are hidden;
-    columns follow the variables' first occurrence.
+    columns follow the variables' first occurrence. A condition that
+    ``satisfies`` does not define on its position raises ``PredicateError``
+    before any edge is probed, whatever the graph.
     """
     kinds: dict[str, str] = {}
     for pattern in bgp.patterns:
         for pred, kind in zip(pattern.predicates, _KINDS):
+            error = predicate_error(pred, kind)
+            if error:
+                raise PredicateError(error)
             if kinds.setdefault(pred.var, kind) != kind:
                 raise JoinKindError(
                     f"variable {pred.var!r} binds {kinds[pred.var]}s in one pattern and {kind}s in another"

@@ -8,7 +8,7 @@ from typing import Any, Sequence
 from .bindings import BindingTable, candidates, evaluate_bgp, join_all
 from .graph import Graph
 from .lang import Ctp, Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
-from .search import SearchConfig, run_search
+from .search import SearchConfig, check_config, run_search
 from .trees import SeedSets
 
 
@@ -103,25 +103,27 @@ def plan_query(
     A tree pattern without its own ``TIMEOUT`` takes the first budget stated
     anywhere in the query, so one stated budget covers every tree pattern;
     ``timeout_ms`` is the default when the query states none and must be
-    positive.
+    positive. An unknown algorithm or score name fails here, before any
+    pattern is evaluated, whatever the data.
     """
     if timeout_ms is not None and timeout_ms < 1:
         raise EngineError(f"timeout_ms must be positive, got {timeout_ms}")
     ast = vq.ast
+    stated = [c.filters.timeout_ms for c in ast.ctps if c.filters.timeout_ms is not None]
+    query_timeout = stated[0] if stated else timeout_ms
+    configs = []
+    for ctp in ast.ctps:
+        budget = ctp.filters.timeout_ms if ctp.filters.timeout_ms is not None else query_timeout
+        configs.append(SearchConfig(algorithm, replace(ctp.filters, timeout_ms=budget)))
+    for cfg in configs or [SearchConfig(algorithm)]:  # with no tree pattern, still check the algorithm
+        check_config(cfg)
     tables = tuple(evaluate_bgp(g, b, ast.synthetic) for b in ast.bgps)
     if any(len(t) == 0 for t in tables):
         return QueryPlan(tables, (), empty=True)
     per_ctp_seeds = compute_seed_sets(g, vq, tables)
     if any(s is None for s in per_ctp_seeds):
         return QueryPlan(tables, (), empty=True)
-    stated = [c.filters.timeout_ms for c in ast.ctps if c.filters.timeout_ms is not None]
-    query_timeout = stated[0] if stated else timeout_ms
-    searches = []
-    for ctp, seeds in zip(ast.ctps, per_ctp_seeds):
-        budget = ctp.filters.timeout_ms if ctp.filters.timeout_ms is not None else query_timeout
-        filters = replace(ctp.filters, timeout_ms=budget)
-        searches.append((ctp, seeds, SearchConfig(algorithm=algorithm, filters=filters)))
-    return QueryPlan(tables, tuple(searches))
+    return QueryPlan(tables, tuple(zip(ast.ctps, per_ctp_seeds, configs)))
 
 
 def evaluate_query(

@@ -11,12 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter, contains, eq, le, lt
 from typing import Any, Callable, NamedTuple
 
 from .graph import Graph
 
-PROPERTIES = ("label", "type", "id")
-OPERATORS = ("=", "<", "<=", "~")
 # filter keyword -> CtpFilters field, in printing order
 FILTER_KEYWORDS = {
     "UNI": "uni",
@@ -115,42 +114,52 @@ def glob_match(pattern: str, text: str) -> bool:
     return _glob_regex(pattern).fullmatch(text) is not None
 
 
-def _check_condition(cond: Condition, g: Graph, elem_id: int, elem_kind: str) -> bool:
-    if cond.prop == "type":
-        if elem_kind != "node":
-            raise PredicateError("type condition applied to an edge")
-        if cond.op != "=":
-            raise PredicateError(f"operator {cond.op!r} not defined on type")
-        return cond.value in g.nodes[elem_id].types
-    if cond.prop == "id":
-        if not isinstance(cond.value, int):
-            raise PredicateError("id condition needs an integer constant")
-        if cond.op == "=":
-            return elem_id == cond.value
-        if cond.op == "<":
-            return elem_id < cond.value
-        if cond.op == "<=":
-            return elem_id <= cond.value
-        raise PredicateError(f"operator {cond.op!r} not defined on id")
-    # label
-    if not isinstance(cond.value, str):
-        raise PredicateError("label condition needs a string constant")
-    label = g.nodes[elem_id].label if elem_kind == "node" else g.edges[elem_id].label
-    if cond.op == "=":
-        return label == cond.value
-    if cond.op == "<":
-        return label < cond.value
-    if cond.op == "<=":
-        return label <= cond.value
-    return glob_match(cond.value, label)
+#: the condition rules: property -> (constant type, {operator: test(the element's
+#: value, the constant)}, element -> value, whether edges carry the property)
+CONDITIONS: dict[str, tuple[type, dict[str, Callable[[Any, Any], bool]], Callable[[Any], Any], bool]] = {
+    "label": (str, {"=": eq, "<": lt, "<=": le, "~": lambda v, glob: glob_match(glob, v)}, attrgetter("label"), True),
+    "type": (str, {"=": contains}, attrgetter("types"), False),  # "=" is set membership
+    "id": (int, {"=": eq, "<": lt, "<=": le}, attrgetter("id"), True),
+}
+OPERATORS = tuple(CONDITIONS["label"][1])  # label takes every operator
+_UNDEFINED = (None, {}, None, False)  # the rule of an unknown property
+
+
+def predicate_error(pred: Predicate, kind: str = "node") -> str | None:
+    """The message for the first condition of ``pred`` that ``CONDITIONS`` does not
+    define on a node (or an edge), or None; of several rules, the first below wins."""
+    for c in pred.conditions:
+        if c.prop not in CONDITIONS:
+            return f"unknown property {c.prop!r}"
+        const, tests, _, on_edges = CONDITIONS[c.prop]
+        if c.op not in OPERATORS:
+            return f"unknown operator {c.op!r}"
+        if c.op == "~" and "~" not in tests:
+            return "pattern matching only applies to label"
+        if not isinstance(c.value, const):
+            return f"{c.prop} condition needs {'an integer' if const is int else 'a string'} constant"
+        if c.op not in tests:
+            return f"only equality is defined on {c.prop}"
+        if kind != "node" and not on_edges:
+            return f"{c.prop} is defined on nodes, not on the edge ?{pred.var}"
+    return None
 
 
 def satisfies(pred: Predicate, g: Graph, elem_id: int, elem_kind: str = "node") -> bool:
-    """True iff every condition of ``pred`` holds for the element.
-
-    The empty predicate is satisfied by every node and edge.
+    """True iff every condition of ``pred`` holds for the element; the empty predicate
+    holds everywhere. Conditions are tested in order up to the first false one, and
+    one that ``CONDITIONS`` does not define on the element raises ``PredicateError``.
     """
-    return all(_check_condition(c, g, elem_id, elem_kind) for c in pred.conditions)
+    on_node = elem_kind == "node"
+    elem = g.nodes[elem_id] if on_node else g.edges[elem_id]
+    for c in pred.conditions:
+        const, tests, read, on_edges = CONDITIONS.get(c.prop, _UNDEFINED)
+        test = tests.get(c.op)
+        if test is None or not isinstance(c.value, const) or not (on_node or on_edges):
+            raise PredicateError(predicate_error(pred, elem_kind))
+        if not test(read(elem), c.value):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ class _Parser:
 
     def _parse_condition(self) -> Condition:
         prop = self._next()
-        if prop.kind != "ident" or prop.value not in PROPERTIES:
+        if prop.kind != "ident" or prop.value not in CONDITIONS:
             raise self._error(f"unknown property {prop.value!r}", prop)
         op = self._next()
         if op.kind != "sym" or op.value not in OPERATORS:
@@ -405,20 +414,10 @@ class ValidatedQuery:
     ast: QueryAst
 
 
-def _check_condition_types(pred: Predicate, where: str) -> None:
-    for c in pred.conditions:
-        if c.prop not in PROPERTIES:
-            raise QueryValidationError(f"{where}: unknown property {c.prop!r}")
-        if c.op not in OPERATORS:
-            raise QueryValidationError(f"{where}: unknown operator {c.op!r}")
-        if c.op == "~" and c.prop != "label":
-            raise QueryValidationError(f"{where}: pattern matching only applies to label")
-        if c.prop == "id" and not isinstance(c.value, int):
-            raise QueryValidationError(f"{where}: id condition needs an integer constant")
-        if c.prop in ("label", "type") and not isinstance(c.value, str):
-            raise QueryValidationError(f"{where}: {c.prop} condition needs a string constant")
-        if c.prop == "type" and c.op != "=":
-            raise QueryValidationError(f"{where}: only equality is defined on type")
+def _check_predicate(pred: Predicate, kind: str, where: str) -> None:
+    error = predicate_error(pred, kind)
+    if error:
+        raise QueryValidationError(f"{where}: {error}")
 
 
 def _connected_components(patterns: list[EdgePattern]) -> list[list[int]]:
@@ -456,9 +455,8 @@ def validate_query(ast: QueryAst) -> ValidatedQuery:
             if len(set(vars3)) != 3:
                 raise QueryValidationError(f"{where}: source, edge and target variables must be distinct")
             for pred in pat.predicates:
-                _check_condition_types(pred, where)
-            if any(c.prop == "type" for c in pat.edge.conditions):
-                raise QueryValidationError(f"{where}: type is defined on nodes, not on the edge ?{pat.edge.var}")
+                _check_predicate(pred, "node", where)
+            _check_predicate(pat.edge, "edge", where)  # a rule of any position wins over this one
         if len(bgp.patterns) > 1 and len(_connected_components(list(bgp.patterns))) > 1:
             raise QueryValidationError(f"group {bi} is not connected")
         all_patterns.extend(bgp.patterns)
@@ -471,7 +469,7 @@ def validate_query(ast: QueryAst) -> ValidatedQuery:
         if len(set(names)) != len(names):
             raise QueryValidationError(f"{where}: member and tree variables must be pairwise distinct")
         for m in ctp.members:
-            _check_condition_types(m, where)
+            _check_predicate(m, "node", where)
         f = ctp.filters
         for label, value in (("MAX", f.max_edges), ("TOP", f.top_k), ("TIMEOUT", f.timeout_ms)):
             if value is not None and value < 1:

@@ -103,7 +103,7 @@ _new_gen_tree = MethodType(tuple.__new__, _GenTree)
 # ---------------------------------------------------------------------------
 # Score functions
 
-_SCORES: dict[str, tuple[Callable, bool]] = {}
+_SCORES: dict[str, Callable] = {}  # name -> batch score function
 
 
 def register_score(name: str, fn: Callable, batch: bool = False) -> None:
@@ -112,9 +112,10 @@ def register_score(name: str, fn: Callable, batch: bool = False) -> None:
     Per-result functions take ``(result, graph)`` and return a float. Batch
     functions (``batch=True``) take the full result list after the search
     ends and return one float per result, for scores that can only be
-    computed once all results are known.
+    computed once all results are known. A per-result function is kept as
+    the batch function that maps it over the list.
     """
-    _SCORES[name] = (fn, batch)
+    _SCORES[name] = fn if batch else lambda results, g: [fn(rt, g) for rt in results]
 
 
 register_score("edgecount", lambda rt, g: float(-len(rt.edges)))
@@ -127,14 +128,10 @@ def apply_score_topk(results: list[ResultTree], filters: CtpFilters, g: Graph | 
         return list(results)
     if filters.score not in _SCORES:
         raise ValueError(f"unknown score function {filters.score!r}")
-    fn, batch = _SCORES[filters.score]
-    if batch:
-        scores = list(fn(list(results), g))
-        if len(scores) != len(results):
-            raise ValueError(f"score {filters.score!r} returned {len(scores)} scores for {len(results)} results")
-        scored = [replace(rt, score=float(s)) for rt, s in zip(results, scores, strict=True)]
-    else:
-        scored = [replace(rt, score=float(fn(rt, g))) for rt in results]
+    scores = list(_SCORES[filters.score](list(results), g))
+    if len(scores) != len(results):
+        raise ValueError(f"score {filters.score!r} returned {len(scores)} scores for {len(results)} results")
+    scored = [replace(rt, score=float(s)) for rt, s in zip(results, scores)]
     scored.sort(key=lambda rt: (-rt.score, rt.edges, rt.nodes))
     if filters.top_k is not None:
         scored = scored[: filters.top_k]
@@ -543,6 +540,16 @@ def _run_generations(
 # Entry point
 
 
+def check_config(cfg: SearchConfig) -> None:
+    """Raise ``ValueError`` for an unknown algorithm or score name, or TOP without SCORE."""
+    if cfg.algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+    if cfg.filters.top_k is not None and cfg.filters.score is None:
+        raise ValueError("TOP requires SCORE")
+    if cfg.filters.score is not None and cfg.filters.score not in _SCORES:
+        raise ValueError(f"unknown score function {cfg.filters.score!r}")
+
+
 def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[ResultTree], SearchStats]:
     """Run the configured algorithm to exhaustion (or deadline) and report results.
 
@@ -552,15 +559,10 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
     under UNI and is its smallest node otherwise; it fills every universal
     seed-set cell. A timeout is a normal outcome flagged in ``stats.timed_out``.
     """
+    check_config(cfg)
     algorithm, filters = cfg.algorithm, cfg.filters
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     if not seeds.active:
         raise SeedSetError("all seed sets are universal")
-    if filters.top_k is not None and filters.score is None:
-        raise ValueError("TOP requires SCORE")
-    if filters.score is not None and filters.score not in _SCORES:
-        raise ValueError(f"unknown score function {filters.score!r}")
     deadline = None if filters.timeout_ms is None else time.monotonic() + filters.timeout_ms / 1000.0
     stats = SearchStats()
     driver = _run_generations if algorithm in GENERATION_ALGORITHMS else _rooted_search

@@ -82,6 +82,21 @@ def test_unknown_score_is_rejected_before_searching(tmp_path, fig1_files, capsys
     assert entered == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '(?x, ?w) :- (?x, "notALabel", ?y), (?x, ?z, TREE ?w) SCORE bogus',
+        '(?w) :- (?p[type = "astronaut"], ?q, TREE ?w) SCORE bogus',
+    ],
+    ids=["empty-table", "empty-seed-set"],
+)
+def test_unknown_score_exits_1_when_no_search_runs(tmp_path, fig1_files, capsys, text):
+    code, captured = _run_query(tmp_path, fig1_files, capsys, text)
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err == "error: unknown score function 'bogus'\n"
+
+
 @pytest.mark.parametrize("bad_file", ["nodes.tsv", "edges.tsv"])
 def test_run_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, fig1_files, capsys, bad_file):
     path = tmp_path / bad_file

@@ -250,3 +250,31 @@ def test_query_level_timeout_shared_across_ctps(path_abc):
 def test_plan_rejects_budgets_below_one(fig1, timeout_ms):
     with pytest.raises(EngineError, match="timeout_ms must be positive"):
         plan_query(fig1, validate_query(parse_query(Q1_TEXT)), timeout_ms=timeout_ms)
+
+
+# a query with no tree pattern, one behind an empty pattern table, one behind
+# an empty seed set, and one whose search runs
+_PLANS = {
+    "no-tree-pattern": '(?x) :- (?x, "citizenOf", ?y)',
+    "empty-table": '(?x, ?w) :- (?x, "notALabel", ?y), (?x, ?z, TREE ?w)',
+    "empty-seed-set": '(?w) :- (?p[type = "astronaut"], ?q, TREE ?w)',
+    "search": '(?w) :- (?a[label = "Elon"], ?b[label = "Doug"], TREE ?w)',
+}
+
+
+@pytest.mark.parametrize("name", _PLANS)
+def test_unknown_algorithm_fails_whatever_the_data(fig1, name):
+    vq = validate_query(parse_query(_PLANS[name]))
+    with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+        plan_query(fig1, vq, algorithm="bogus")
+    with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+        evaluate_query(fig1, vq, algorithm="bogus")
+
+
+@pytest.mark.parametrize("name", [name for name in _PLANS if name != "no-tree-pattern"])
+def test_unknown_score_fails_whatever_the_data(fig1, name):
+    vq = validate_query(parse_query(_PLANS[name] + " SCORE bogus"))
+    with pytest.raises(ValueError, match="^unknown score function 'bogus'$"):
+        plan_query(fig1, vq)
+    with pytest.raises(ValueError, match="^unknown score function 'bogus'$"):
+        evaluate_query(fig1, vq)

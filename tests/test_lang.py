@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeq.bindings import evaluate_bgp
 from treeq.engine import evaluate_query
 from treeq.graph import Graph
 from treeq.synth import gen_cdf
@@ -252,6 +253,69 @@ def test_type_on_the_edge_position_is_rejected(fig1, edgeless):
     text = '(?x) :- (?x, "citizenOf", "USA"), (?x, ?e[type = "t"], ?z)'
     with pytest.raises(QueryValidationError, match=r"^pattern 1\.0: type is defined on nodes"):
         evaluate_query(g, parse_query(text))
+
+
+# every kind of condition the rules leave undefined: the condition, the
+# position of an edge pattern it sits at, and validate_query's message
+UNDEFINED_CONDITIONS = {
+    "unknown-property": (Condition("colour", "=", "red"), "source", "unknown property 'colour'"),
+    "unknown-operator": (Condition("label", ">", "x"), "edge", "unknown operator '>'"),
+    "glob-on-id": (Condition("id", "~", "1*"), "source", "pattern matching only applies to label"),
+    "glob-on-type": (Condition("type", "~", "e*"), "target", "pattern matching only applies to label"),
+    "string-id": (Condition("id", "=", "3"), "edge", "id condition needs an integer constant"),
+    "integer-label": (Condition("label", "=", 3), "source", "label condition needs a string constant"),
+    "integer-type": (Condition("type", "=", 3), "target", "type condition needs a string constant"),
+    "less-on-type": (Condition("type", "<", "t"), "source", "only equality is defined on type"),
+    "less-equal-on-type": (Condition("type", "<=", "t"), "target", "only equality is defined on type"),
+    "type-on-edge": (Condition("type", "=", "company"), "edge", "type is defined on nodes, not on the edge ?e"),
+}
+
+
+@pytest.mark.parametrize("cond, position, message", UNDEFINED_CONDITIONS.values(), ids=UNDEFINED_CONDITIONS)
+def test_an_undefined_condition_fails_in_every_reader(fig1, cond, position, message):
+    positions = zip(("source", "edge", "target"), "xey")
+    preds = {pos: Predicate(var, (cond,) if pos == position else ()) for pos, var in positions}
+    pattern = EdgePattern(preds["source"], preds["edge"], preds["target"])
+    with pytest.raises(QueryValidationError) as exc:
+        validate_query(QueryAst(("x",), (Bgp((pattern,)),), ()))
+    assert str(exc.value) == f"pattern 0.0: {message}"
+    with pytest.raises(PredicateError) as exc:
+        satisfies(preds[position], fig1, 1, "edge" if position == "edge" else "node")  # node 1 and edge 1 exist
+    assert str(exc.value) == message
+    # checked before any edge is probed, so the graph does not matter
+    for g in (fig1, Graph(fig1.nodes.values(), ())):
+        with pytest.raises(PredicateError) as exc:
+            evaluate_bgp(g, Bgp((pattern,)))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(?x) :- (?x[type ~ 5], ?e, ?y)", "pattern 0.0: pattern matching only applies to label"),
+        ('(?x) :- (?x[id ~ "1*"], ?e, ?y)', "pattern 0.0: pattern matching only applies to label"),
+        ("(?x) :- (?x[type < 5], ?e, ?y)", "pattern 0.0: type condition needs a string constant"),
+        ('(?x) :- (?x, ?e[type < "t"], ?y)', "pattern 0.0: only equality is defined on type"),
+        ('(?x) :- (?x, ?e[type = "t"; id = "1"], ?y)', "pattern 0.0: id condition needs an integer constant"),
+        ('(?x) :- (?x, ?e[type = "t"], ?y[label ~ 3])', "pattern 0.0: label condition needs a string constant"),
+        (
+            '(?x) :- (?x, ?e[type = "t"], ?y), (?x, ?f, ?z[id = "1"])',
+            "pattern 0.0: type is defined on nodes, not on the edge ?e",
+        ),
+        (
+            '(?x) :- (?x, ?e, ?y), (?x, ?f[type = "t"], ?z[id = "1"])',
+            "pattern 1.0: id condition needs an integer constant",
+        ),
+        (
+            '(?w) :- (?x, ?e, ?y), (?x[type < "t"], ?z[id = "1"], TREE ?w)',
+            "tree pattern 0: only equality is defined on type",
+        ),
+    ],
+)
+def test_the_first_rule_broken_names_the_error(text, message):
+    with pytest.raises(QueryValidationError) as exc:
+        validate_query(parse_query(text))
+    assert str(exc.value) == message
 
 
 def test_validation_yields_exactly_one_primary_error():
