@@ -28,7 +28,9 @@ class Graph:
     """Immutable node/edge store. Safe to share between concurrent searches.
 
     Parallel edges between the same endpoints are allowed; edges are
-    identified by their integer id.
+    identified by their integer id. The one cache, ``dangling``, is filled
+    on first use by a single assignment of a value that depends on the
+    graph alone, so concurrent first uses at worst compute it twice.
     """
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[Edge]) -> None:
@@ -72,6 +74,39 @@ class Graph:
         for nid in by_id:
             incoming[nid].sort()
             both[nid].sort()
+        self._hang: dict[int, int | None] | None = None
+
+    def dangling(self) -> dict[int, int | None]:
+        """The nodes that fall away when nodes with at most one distinct
+        neighbour (self-loops aside) are removed again and again, each mapped
+        to the neighbour it hangs from: the one left when it fell, or None
+        for the last node of a component that is a tree.
+
+        Computed on the first call, in one pass over the graph, and cached.
+        """
+        if self._hang is None:
+            edges, both = self.edges, self._both
+            left: dict[int, int] = {}  # node -> distinct neighbours not yet removed
+            for n, adjacent in both.items():
+                far = {b if a == n else a for _, a, b, _ in map(edges.__getitem__, adjacent)}
+                far.discard(n)
+                left[n] = len(far)
+            hang: dict[int, int | None] = {}
+            peel = [n for n, k in left.items() if k <= 1]
+            while peel:
+                n = peel.pop()
+                up = None
+                if left[n]:
+                    up = next(
+                        x for _, a, b, _ in map(edges.__getitem__, both[n])
+                        if (x := b if a == n else a) != n and x not in hang
+                    )
+                    left[up] -= 1
+                    if left[up] == 1:
+                        peel.append(up)
+                hang[n] = up
+            self._hang = hang
+        return self._hang
 
     @property
     def num_nodes(self) -> int:

@@ -155,6 +155,39 @@ def _start_nodes(g: Graph, seeds: SeedSets) -> Iterator[int]:
             yield s
 
 
+def _dead_test(g: Graph, seeds: SeedSets) -> Callable[[int], bool]:
+    """A test of whether a node is dead: no result of this search can hold it.
+
+    Every leaf of a result is a seed, so no result holds a node that falls
+    away when nodes that are no seed and have at most one distinct
+    neighbour are removed again and again. Such nodes lie in
+    ``g.dangling()``, and the peel keeps a dangling node exactly when a seed
+    hangs below it and, in a component that is a tree, the node also lies
+    on a path between two seeds. Walking up from each seed marks the first;
+    then the top of each tree component the walks reached is cut down while
+    it is no seed and has one marked child. This costs about seeds times
+    depth, never a pass over the graph.
+    """
+    hang, bits = g.dangling(), seeds.node_bits
+    live: set[int] = set()
+    only: dict[int, int | None] = {}  # marked node -> its one marked child, None for several
+    tops = []
+    for n in bits:
+        while n in hang and n not in live:
+            live.add(n)
+            up = hang[n]
+            if up is None:
+                tops.append(n)
+            else:
+                only[up] = None if up in only else n
+            n = up
+    for n in tops:
+        while n not in bits and only[n] is not None:
+            live.discard(n)
+            n = only[n]
+    return lambda n: n in hang and n not in live
+
+
 def _rooted_search(
     g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
 ) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -167,8 +200,13 @@ def _rooted_search(
 
     * Grow: a pair ``(t, e)`` is queued when ``e`` may extend ``t`` at its
       root: ``t`` is below ``MAX``, ``e`` passes ``LABEL`` (and points into
-      the root under ``UNI``), and its far node is new to ``t`` and no seed
-      of a set ``t`` covers. Pairs pop smallest tree first, ties broken on
+      the root under ``UNI``), and its far node is not dead (``_dead_test``),
+      new to ``t`` and no seed of a set ``t`` covers. The first time a tree
+      settles at a root, the root's grow steps ``(edge, far node, far seed
+      bits)`` that pass the first three tests are listed for the rest of
+      the search; the last two depend on the tree. Every tree grown, merged
+      or copied from a tree that holds a dead node holds it too, and no
+      result does, so the skipped steps could lead to no result. Pairs pop smallest tree first, ties broken on
       ``(key, root, edge)``. With skewed seed sets there is one queue per
       covered mask, and the queue with the fewest pairs (then the smallest
       mask) is popped.
@@ -209,6 +247,8 @@ def _rooted_search(
     edge_set_pruned = algorithm in EDGE_SET_PRUNED
     spares_merges = algorithm in ("lesp", "molesp")
     new_tree = _new_rooted_tree
+    dead = _dead_test(g, seeds)
+    steps_of: dict[int, list[tuple[int, int, int]]] = {}  # root -> its grow steps, listed on first use
 
     # grow pairs (len(key), key, root, edge, tree, far node, far seed bits);
     # (key, root, edge) is unique, so entries never compare past the edge
@@ -255,16 +295,17 @@ def _rooted_search(
         partnered = len(buckets) > 1 or not covered & ~bits(root, 0)
         if max_edges is not None and len(key) >= max_edges:
             return partnered
+        steps = steps_of.get(root)
+        if steps is None:
+            steps = steps_of[root] = []
+            for e in around(root):
+                _, source, target, label = edges[e]
+                far = source if target == root else target
+                if (labels_ok is None or label in labels_ok) and not dead(far):
+                    steps.append((e, far, bits(far, 0)))
         size = len(key)
-        for e in around(root):
-            _, source, target, label = edges[e]
-            if labels_ok is not None and label not in labels_ok:
-                continue
-            far = source if target == root else target
-            if far in nodes:
-                continue
-            far_bits = bits(far, 0)
-            if far_bits & covered:
+        for e, far, far_bits in steps:
+            if far in nodes or far_bits & covered:
                 continue
             queue = queues.setdefault(covered, []) if multi_queue else heap
             heappush(queue, (size, key, root, e, t, far, far_bits))
@@ -371,22 +412,25 @@ def _run_generations(
     Each generation grows every tree of the last one by one edge at any of
     its nodes, node by node in edge-id order. An edge may extend a tree
     below ``MAX`` when it passes ``LABEL`` and its far node is new to the
-    tree and no seed of a set the tree covers. The first time a node is
-    grown at, its grow steps ``(far node, far seed bits, edge bit)`` are
-    listed once for the search, ``LABEL`` and self-loops left out; the
+    tree and no seed of a set the tree covers; a step toward a dead node
+    (``_dead_test``) is never made, since every tree grown or merged from a
+    tree that holds one holds it too, and no result does. The first time a node is grown at,
+    its grow steps ``(far node, far seed bits, edge bit)`` are listed once
+    for the search, ``LABEL``, self-loops and dead far nodes left out; the
     other two tests depend on the tree and are made per step. A tree's edge
     bits are its edge set: a tree whose edge bits were seen before is pruned
     before it is built, and sorted edge ids are formed only for a tree that
     is reported. ``bft_m`` merges each grown tree once with the kept trees
     it can join at one shared node; ``bft_am`` merges the merge products
     too. The deadline is checked before each tree is grown and before each
-    tree of a merge queue is merged; once it has passed, the search ends.
+    tree a merge builds; once it has passed, the search ends.
     """
     edges, adjacent, full_mask, bits = g.edges, g.adjacent_edges, seeds.full_mask, seeds.node_bits.get
     labels_ok, max_edges = filters.labels, filters.max_edges
     merging = algorithm in ("bft_m", "bft_am")
     aggressive = algorithm == "bft_am"
     new_tree = _new_gen_tree
+    dead = _dead_test(g, seeds)
     results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     # the edge sets seen so far; start trees have none and are all distinct
     memory: set[int] = set()
@@ -445,9 +489,6 @@ def _run_generations(
         """Merge ``t`` (and, under ``bft_am``, its merge products); False once the deadline has passed."""
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
-            if deadline is not None and time.monotonic() > deadline:
-                stats.timed_out = True
-                return False
             cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose = cur
             room = None if max_edges is None else max_edges - cur_ebits.bit_count()
             for n in sorted(cur_nodes):
@@ -469,6 +510,10 @@ def _run_generations(
                         if ebits in memory:
                             stats.trees_pruned += 1
                             continue
+                        # one fixpoint can build thousands of trees: read the clock before each
+                        if deadline is not None and time.monotonic() > deadline:
+                            stats.timed_out = True
+                            return False
                         memory.add(ebits)
                         merged = new_tree((
                             cur_nodes | partner.nodes,
@@ -506,7 +551,7 @@ def _run_generations(
                     for e in adjacent(n):
                         _, source, target, label = edges[e]
                         far = source if target == n else target
-                        if far != n and (labels_ok is None or label in labels_ok):
+                        if far != n and (labels_ok is None or label in labels_ok) and not dead(far):
                             steps.append((far, bits(far, 0), ebit_of.setdefault(e, 1 << len(ebit_of))))
                 # the near end stops being a leaf; a start tree's only node is a seed
                 near_loose = loose & ~bit_of[n]

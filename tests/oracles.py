@@ -66,6 +66,26 @@ def brute_ctp(g: Graph, seeds: SeedSets) -> tuple[set[frozenset[int]], set[int]]
     return edge_sets, singles
 
 
+def peeled_nodes(g: Graph, seeds: SeedSets) -> set[int]:
+    """The nodes no result of the search can hold, by brute force.
+
+    Nodes that are no seed of a non-universal set and have at most one
+    distinct neighbour (self-loops aside) among the nodes left are dropped,
+    round by round, until none is.
+    """
+    seed_nodes = seeds.seed_nodes()
+    left = set(g.nodes)
+    while True:
+        drop = set()
+        for n in left - seed_nodes:
+            neighbours = {g.other_endpoint(e, n) for e in g.adjacent_edges(n)} & left
+            if len(neighbours - {n}) <= 1:
+                drop.add(n)
+        if not drop:
+            return set(g.nodes) - left
+        left -= drop
+
+
 def result_identities(results) -> set:
     return {rt.identity() for rt in results}
 

@@ -14,11 +14,13 @@ from treeq import search
 from treeq.graph import Graph
 from treeq.lang import CtpFilters
 from treeq.search import ALGORITHMS, SearchConfig, apply_score_topk, guaranteed_found, run_search
-from treeq.synth import gen_chain, gen_random_instance
+from treeq.engine import plan_query
+from treeq.lang import parse_query, validate_query
+from treeq.synth import gen_cdf, gen_chain, gen_comb, gen_random_instance, gen_star
 from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
 
-from conftest import make_graph
-from oracles import brute_ctp, oracle_identities, post_filter_identities, reaches_all, result_identities
+from conftest import make_graph, random_suite
+from oracles import brute_ctp, oracle_identities, peeled_nodes, post_filter_identities, reaches_all, result_identities
 
 ROOTED = ("gam", "esp", "moesp", "lesp", "molesp")
 
@@ -860,10 +862,10 @@ def test_deadline_stops_merging_at_the_next_round(fig1, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["bft_m", "bft_am"])
 def test_generation_deadline_is_read_before_each_merge_step(monkeypatch, algorithm):
-    # the clock is read before each tree is grown and before each tree of a
-    # merge queue is merged: bft_m merges each grown tree it keeps, bft_am
-    # each tree it keeps but the start trees. Once a read finds the deadline
-    # passed the search ends: it builds nothing more and reads no more
+    # the clock is read before each tree is grown and before each tree a
+    # merge builds: bft_m merges each grown tree it keeps, bft_am each tree it
+    # keeps but the start trees. Once a read finds the deadline passed the
+    # search ends: it builds nothing more and reads no more
     events: list[tuple] = []
     expire_at: list[int] = []  # the read, counted from 1, from which on the clock is past any deadline
 
@@ -888,11 +890,11 @@ def test_generation_deadline_is_read_before_each_merge_step(monkeypatch, algorit
     assert run_search(g, seeds, budget) == expected  # a budget that does not run out changes nothing
     kept = [(where, t) for ev, where, *t in events if ev == "built" and t[0].covered != seeds.full_mask]
     merged = sum(where == "merge_round" for where, _ in kept)
-    grown = sum(where == "_run_generations" and t.ebits != 0 for where, (t,) in kept)
+    merge_builds = sum(ev == "built" and where == "merge_round" for ev, where, *_ in events)
     reads = [where for ev, where, *_ in events if ev == "read"]
     assert merged > 0 and reads.count("run_search") == 1
     assert reads.count("_run_generations") == len(kept)
-    assert reads.count("merge_round") == grown + (merged if algorithm == "bft_am" else 0)
+    assert reads.count("merge_round") == merge_builds
     full = list(events)
     read_at = [i for i, ev in enumerate(full) if ev[0] == "read"]
     for k in range(2, len(read_at) + 1):
@@ -1125,9 +1127,12 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
             assert set(reads) <= reached
             nearby = len({e for n in reached for e in Graph.adjacent_edges(big, n)})
             # edge bits are numbered as the grow steps list the edges: adjacency
-            # reads in order, self-loops left out, each edge at its first listing
+            # reads in order, self-loops and edges toward the nodes the peel
+            # drops left out, each edge at its first listing
+            dropped = peeled_nodes(big, big_seeds)
             edge_at = list(dict.fromkeys(
-                e for n in reads for e in Graph.adjacent_edges(big, n) if big.edges[e].source != big.edges[e].target
+                e for n in reads for e in Graph.adjacent_edges(big, n)
+                if big.edges[e].source != big.edges[e].target and big.other_endpoint(e, n) not in dropped
             ))
             assert len(edge_at) <= nearby
             bit = {}  # node -> its bit: a tree is built after the trees it grows or merges from
@@ -1148,3 +1153,50 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
                     degree[big.edges[eid].target] += 1
                 leaves = [n for n, d in degree.items() if d == 1 and n not in big_seeds.node_bits]
                 assert t.loose == sum(bit[n] for n in leaves)
+
+
+def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
+    # every leaf of a result is a seed, so no tree that either driver builds
+    # may hold a node the brute-force peel drops; the dangling nodes a search
+    # leaves dead are exactly the dropped ones, in every component
+    built = []
+    for name in ("_new_rooted_tree", "_new_gen_tree"):
+        new = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda fields, new=new: built.append(new(fields)) or built[-1])
+    # a triangle 1-2-3 with a dangling tree at 3 (4 under 3; 5 and 6 under 4;
+    # 7, with a self-loop, under 6), node 8 tied to 2 by two parallel edges,
+    # and a second component that is a tree (9-10-11-12, 13 under 10)
+    hung = make_graph(
+        [str(i) for i in range(1, 14)],
+        [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (4, 6), (6, 7), (7, 7), (2, 8), (8, 2),
+         (9, 10), (10, 11), (11, 12), (10, 13)],
+    )
+    w = gen_cdf(2, 16, 64, 3, 7)
+    ((_, cdf16_seeds, _),) = plan_query(w.graph, validate_query(parse_query(w.query_text))).searches
+    chain, comb, star = gen_chain(6), gen_comb(2, 1, 2, 1), gen_star(3, 2)
+    cases = [
+        (hung, SeedSets([(5,), (1,)])),  # a seed inside the dangling tree
+        (hung, SeedSets([(7, 12), (8, 10)])),  # seeds in both components
+        (hung, SeedSets([(11,), (9, 13)], [False, False])),
+        (hung, SeedSets([(1,), (), (5,)], [False, True, False])),
+        (chain.graph, SeedSets([(2,), (5,)])),  # a tree with parallel edges
+        (comb.graph, comb.seeds()),
+        (star.graph, SeedSets(star.seed_sets[:2])),
+        (fig1, SeedSets([(2, 4), (3, 6), (9,)])),
+        (w.graph, cdf16_seeds),
+        *random_suite(12, [1, 2, 3, 2, 3, 3], rng_seed=20250811),
+        *random_suite(6, [4, 5, 6], rng_seed=20250812),
+    ]
+    for g, seeds in cases:
+        dropped = peeled_nodes(g, seeds)
+        dead = search._dead_test(g, seeds)
+        assert {n for n in g.nodes if dead(n)} == dropped
+        labels = frozenset(g.edges[e].label for e in sorted(g.edges)[::2])
+        for filters in (CtpFilters(), CtpFilters(uni=True), CtpFilters(labels=labels)):
+            for algorithm in ALGORITHMS if g is not w.graph else ROOTED:
+                built.clear()
+                run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=filters))
+                assert built and not any(dropped & t.nodes for t in built), algorithm
+    for algorithm in ALGORITHMS:
+        with pytest.raises(SeedSetError):
+            run_search(hung, SeedSets([(5,), (99,)]), SearchConfig(algorithm=algorithm))
