@@ -95,33 +95,33 @@ PINNED = {
     ("m3_1", "moesp"): (142, 189, 192, 52, "fed758a39a19482f"),
     ("m3_1", "lesp"): (142, 189, 192, 52, "fed758a39a19482f"),
     ("m3_1", "molesp"): (142, 189, 192, 52, "fed758a39a19482f"),
-    ("m3_2", "bft"): (1035, 1008, 0, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "bft_m"): (1035, 2118, 0, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "bft_am"): (1084, 3755, 0, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "gam"): (474, 18, 302, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "esp"): (147, 144, 171, 20, "b8632c21c73311eb"),
-    ("m3_2", "moesp"): (200, 154, 171, 33, "e64ad14f2a0581d4"),
-    ("m3_2", "lesp"): (211, 126, 199, 20, "b8632c21c73311eb"),
-    ("m3_2", "molesp"): (270, 130, 199, 33, "e64ad14f2a0581d4"),
-    ("m3_3", "bft"): (1308, 673, 0, 31, "9528721a5508094c"),
-    ("m3_3", "bft_m"): (1308, 2580, 0, 31, "9528721a5508094c"),
-    ("m3_3", "bft_am"): (1350, 3032, 0, 31, "9528721a5508094c"),
-    ("m3_3", "gam"): (205, 0, 141, 31, "9528721a5508094c"),
-    ("m3_3", "esp"): (114, 91, 141, 31, "9528721a5508094c"),
-    ("m3_3", "moesp"): (114, 91, 141, 31, "9528721a5508094c"),
-    ("m3_3", "lesp"): (114, 91, 141, 31, "9528721a5508094c"),
-    ("m3_3", "molesp"): (114, 91, 141, 31, "9528721a5508094c"),
-    ("m3_4", "bft"): (1123, 1272, 0, 35, "47e461445d7095ac"),
-    ("m3_4", "bft_m"): (1127, 2634, 0, 35, "47e461445d7095ac"),
-    ("m3_4", "bft_am"): (1155, 4879, 0, 35, "47e461445d7095ac"),
-    ("m3_4", "gam"): (466, 24, 331, 35, "47e461445d7095ac"),
-    ("m3_4", "esp"): (167, 126, 195, 23, "bb4b6db93ec18585"),
-    ("m3_4", "moesp"): (219, 137, 195, 35, "47e461445d7095ac"),
-    ("m3_4", "lesp"): (234, 110, 234, 23, "bb4b6db93ec18585"),
-    ("m3_4", "molesp"): (294, 113, 234, 35, "47e461445d7095ac"),
-    ("m3_2_uni", "bft"): (1035, 1008, 0, 4, "6451b39587ad3c76"),
-    ("m3_2_uni", "bft_m"): (1035, 2118, 0, 4, "6451b39587ad3c76"),
-    ("m3_2_uni", "bft_am"): (1084, 3755, 0, 4, "6451b39587ad3c76"),
+    ("m3_2", "bft"): (586, 505, 0, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "bft_m"): (586, 1092, 0, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "bft_am"): (614, 1983, 0, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "gam"): (421, 18, 249, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "esp"): (119, 144, 143, 20, "b8632c21c73311eb"),
+    ("m3_2", "moesp"): (172, 154, 143, 33, "e64ad14f2a0581d4"),
+    ("m3_2", "lesp"): (179, 126, 167, 20, "b8632c21c73311eb"),
+    ("m3_2", "molesp"): (238, 130, 167, 33, "e64ad14f2a0581d4"),
+    ("m3_3", "bft"): (804, 396, 0, 31, "9528721a5508094c"),
+    ("m3_3", "bft_m"): (804, 1499, 0, 31, "9528721a5508094c"),
+    ("m3_3", "bft_am"): (826, 1735, 0, 31, "9528721a5508094c"),
+    ("m3_3", "gam"): (192, 0, 128, 31, "9528721a5508094c"),
+    ("m3_3", "esp"): (101, 91, 128, 31, "9528721a5508094c"),
+    ("m3_3", "moesp"): (101, 91, 128, 31, "9528721a5508094c"),
+    ("m3_3", "lesp"): (101, 91, 128, 31, "9528721a5508094c"),
+    ("m3_3", "molesp"): (101, 91, 128, 31, "9528721a5508094c"),
+    ("m3_4", "bft"): (267, 247, 0, 35, "47e461445d7095ac"),
+    ("m3_4", "bft_m"): (268, 512, 0, 35, "47e461445d7095ac"),
+    ("m3_4", "bft_am"): (271, 873, 0, 35, "47e461445d7095ac"),
+    ("m3_4", "gam"): (340, 24, 205, 35, "47e461445d7095ac"),
+    ("m3_4", "esp"): (100, 126, 128, 23, "bb4b6db93ec18585"),
+    ("m3_4", "moesp"): (152, 137, 128, 35, "47e461445d7095ac"),
+    ("m3_4", "lesp"): (143, 110, 143, 23, "bb4b6db93ec18585"),
+    ("m3_4", "molesp"): (203, 113, 143, 35, "47e461445d7095ac"),
+    ("m3_2_uni", "bft"): (586, 505, 0, 4, "6451b39587ad3c76"),
+    ("m3_2_uni", "bft_m"): (586, 1092, 0, 4, "6451b39587ad3c76"),
+    ("m3_2_uni", "bft_am"): (614, 1983, 0, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "gam"): (26, 0, 22, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "esp"): (26, 0, 22, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "moesp"): (26, 0, 22, 4, "6451b39587ad3c76"),
@@ -177,9 +177,9 @@ def test_counters_and_result_order_match_recorded_values(fig1, algorithm):
 #: fig1_skewed, fig1_skewed_ties and cdf8_skewed have seed sets skewed enough
 #: to turn on one queue per mask; cdf16 is a small cdf m=2 forest query.
 EXTRA_PINNED = {
-    ("chain10_span9", "gam"): (6144, 0, 2046, 512, "30361bb9b08b6c30"),
-    ("chain10_span9", "esp"): (1536, 4608, 2046, 512, "30361bb9b08b6c30"),
-    ("chain10_span9", "molesp"): (1536, 4608, 2046, 512, "30361bb9b08b6c30"),
+    ("chain10_span9", "gam"): (6142, 0, 2044, 512, "30361bb9b08b6c30"),
+    ("chain10_span9", "esp"): (1534, 4608, 2044, 512, "30361bb9b08b6c30"),
+    ("chain10_span9", "molesp"): (1534, 4608, 2044, 512, "30361bb9b08b6c30"),
     ("chain10_span10", "esp"): (3070, 10240, 4092, 1024, "6eee48148abee937"),
     ("chain10_span10", "molesp"): (3070, 10240, 4092, 1024, "6eee48148abee937"),
     ("fig1_skewed", "gam"): (21, 0, 9, 1, "c82da1453eed771d"),
@@ -192,16 +192,16 @@ EXTRA_PINNED = {
     ("fig1_skewed_ties", "moesp"): (23, 8, 12, 3, "a97921bab8029504"),
     ("fig1_skewed_ties", "lesp"): (18, 8, 12, 2, "3183ef102897e49a"),
     ("fig1_skewed_ties", "molesp"): (23, 8, 12, 3, "a97921bab8029504"),
-    ("cdf8_skewed", "gam"): (1202, 0, 1142, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "esp"): (1062, 52, 1054, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "moesp"): (1070, 52, 1054, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "lesp"): (1062, 52, 1054, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "molesp"): (1070, 52, 1054, 2, "3e8c2d268f0617df"),
-    ("cdf16", "gam"): (896, 0, 704, 64, "7684550037207385"),
-    ("cdf16", "esp"): (704, 192, 704, 64, "7684550037207385"),
-    ("cdf16", "moesp"): (704, 192, 704, 64, "7684550037207385"),
-    ("cdf16", "lesp"): (704, 192, 704, 64, "7684550037207385"),
-    ("cdf16", "molesp"): (704, 192, 704, 64, "7684550037207385"),
+    ("cdf8_skewed", "gam"): (830, 0, 770, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "esp"): (722, 52, 714, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "moesp"): (730, 52, 714, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "lesp"): (722, 52, 714, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "molesp"): (730, 52, 714, 2, "3e8c2d268f0617df"),
+    ("cdf16", "gam"): (768, 0, 576, 64, "7684550037207385"),
+    ("cdf16", "esp"): (576, 192, 576, 64, "7684550037207385"),
+    ("cdf16", "moesp"): (576, 192, 576, 64, "7684550037207385"),
+    ("cdf16", "lesp"): (576, 192, 576, 64, "7684550037207385"),
+    ("cdf16", "molesp"): (576, 192, 576, 64, "7684550037207385"),
     ("m456_50", "moesp"): (2951, 1479, 554, 42, "6fe431d49d7383c5"),
     ("m456_50", "molesp"): (3446, 1406, 735, 42, "6fe431d49d7383c5"),
     ("m456_70", "moesp"): (817, 602, 301, 69, "f49702cb10ce57ee"),
@@ -210,7 +210,7 @@ EXTRA_PINNED = {
     ("m456_80", "molesp"): (415, 332, 154, 10, "695cb635f102a85e"),
     ("m456_6", "bft_m"): (5283, 11824, 0, 164, "2cd92d0252e183c0"),
     ("m456_79", "bft_m"): (1511, 4387, 0, 52, "ae0c84f8e4f60650"),
-    ("m3_53", "bft_m"): (17690, 71505, 0, 67, "47426fd4cd1b439b"),
+    ("m3_53", "bft_m"): (10471, 40837, 0, 67, "47426fd4cd1b439b"),
 }
 
 
@@ -271,14 +271,14 @@ FULL_PINNED = {
     ("fig1_top3", "moesp"): (107, 45, 71, 22, "05229f6033700c5e"),
     ("fig1_top3", "lesp"): (72, 43, 75, 3, "ca28f1062b68b94d"),
     ("fig1_top3", "molesp"): (117, 43, 75, 22, "05229f6033700c5e"),
-    ("m3_2_universal", "bft"): (1035, 1008, 0, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "bft_m"): (1035, 2118, 0, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "bft_am"): (1084, 3755, 0, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "gam"): (474, 18, 302, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "esp"): (147, 144, 171, 20, "698144f42b674ef7"),
-    ("m3_2_universal", "moesp"): (200, 154, 171, 33, "03e4866887a274ee"),
-    ("m3_2_universal", "lesp"): (211, 126, 199, 20, "698144f42b674ef7"),
-    ("m3_2_universal", "molesp"): (270, 130, 199, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "bft"): (586, 505, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "bft_m"): (586, 1092, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "bft_am"): (614, 1983, 0, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "gam"): (421, 18, 249, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "esp"): (119, 144, 143, 20, "698144f42b674ef7"),
+    ("m3_2_universal", "moesp"): (172, 154, 143, 33, "03e4866887a274ee"),
+    ("m3_2_universal", "lesp"): (179, 126, 167, 20, "698144f42b674ef7"),
+    ("m3_2_universal", "molesp"): (238, 130, 167, 33, "03e4866887a274ee"),
 }
 
 
