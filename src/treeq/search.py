@@ -206,10 +206,10 @@ def _rooted_search(
       bits)`` that pass the first three tests are listed for the rest of
       the search; the last two depend on the tree. Every tree grown, merged
       or copied from a tree that holds a dead node holds it too, and no
-      result does, so the skipped steps could lead to no result. Pairs pop smallest tree first, ties broken on
-      ``(key, root, edge)``. With skewed seed sets there is one queue per
-      covered mask, and the queue with the fewest pairs (then the smallest
-      mask) is popped.
+      result does, so the skipped steps could lead to no result. Pairs pop
+      smallest tree first, ties broken on ``(key, root, edge)``. With
+      skewed seed sets there is one queue per covered mask, and the queue
+      with the fewest pairs (then the smallest mask) is popped.
     * Deduplicate: one map files each edge set with the roots it was built
       or copied at, results included. Before a grown or merged tree is
       built, plain ``gam`` discards it when its edge set was built at the
@@ -414,10 +414,11 @@ def _run_generations(
     below ``MAX`` when it passes ``LABEL`` and its far node is new to the
     tree and no seed of a set the tree covers; a step toward a dead node
     (``_dead_test``) is never made, since every tree grown or merged from a
-    tree that holds one holds it too, and no result does. The first time a node is grown at,
-    its grow steps ``(far node, far seed bits, edge bit)`` are listed once
-    for the search, ``LABEL``, self-loops and dead far nodes left out; the
-    other two tests depend on the tree and are made per step. A tree's edge
+    tree that holds one holds it too, and no result does. The first time a
+    node is grown at, its grow steps ``(far node, far seed bits, edge
+    bit)`` are listed once for the search, ``LABEL``, self-loops and dead
+    far nodes left out; the other two tests depend on the tree and are
+    made per step. A tree's edge
     bits are its edge set: a tree whose edge bits were seen before is pruned
     before it is built, and sorted edge ids are formed only for a tree that
     is reported. ``bft_m`` merges each grown tree once with the kept trees
