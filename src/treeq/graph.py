@@ -24,6 +24,14 @@ class Edge(NamedTuple):
     label: str = ""
 
 
+class Peel(NamedTuple):
+    """What ``Graph.dangling`` computes once per graph; see there."""
+
+    hang: dict[int, int | None]
+    links: dict[int, tuple[int, ...]]
+    beside: dict[int, list[tuple[int, int]]]
+
+
 class Graph:
     """Immutable node/edge store. Safe to share between concurrent searches.
 
@@ -74,21 +82,29 @@ class Graph:
         for nid in by_id:
             incoming[nid].sort()
             both[nid].sort()
-        self._hang: dict[int, int | None] | None = None
+        self._peel: Peel | None = None
 
-    def dangling(self) -> dict[int, int | None]:
-        """The nodes that fall away when nodes with at most one distinct
-        neighbour (self-loops aside) are removed again and again, each mapped
-        to the neighbour it hangs from: the one left when it fell, or None
-        for the last node of a component that is a tree.
+    def dangling(self) -> Peel:
+        """The peel of the graph, computed on the first call in one pass over
+        the graph and cached.
 
-        Computed on the first call, in one pass over the graph, and cached.
+        ``hang`` maps each node that falls away when nodes with at most one
+        distinct neighbour (self-loops aside) are removed again and again to
+        the neighbour it hangs from: the one left when it fell, or None for
+        the last node of a component that is a tree. The nodes that stay are
+        the core; each has two or more core neighbours. ``links`` maps each
+        core node with exactly two core neighbours to them. A run is a
+        maximal path of such nodes: ``beside`` maps each other core node to
+        the runs that start at it, as (first node, far end) pairs, where the
+        far end is the core node after the run (the start itself when the
+        run closes a cycle). A cycle of ``links`` nodes alone starts no run.
         """
-        if self._hang is None:
-            edges, both = self.edges, self._both
+        if self._peel is None:
+            edges = self.edges
+            around: dict[int, set[int]] = {}  # node -> its distinct neighbours
             left: dict[int, int] = {}  # node -> distinct neighbours not yet removed
-            for n, adjacent in both.items():
-                far = {b if a == n else a for _, a, b, _ in map(edges.__getitem__, adjacent)}
+            for n, adjacent in self._both.items():
+                far = around[n] = {b if a == n else a for _, a, b, _ in map(edges.__getitem__, adjacent)}
                 far.discard(n)
                 left[n] = len(far)
             hang: dict[int, int | None] = {}
@@ -97,16 +113,27 @@ class Graph:
                 n = peel.pop()
                 up = None
                 if left[n]:
-                    up = next(
-                        x for _, a, b, _ in map(edges.__getitem__, both[n])
-                        if (x := b if a == n else a) != n and x not in hang
-                    )
+                    up = next(x for x in around[n] if x not in hang)
                     left[up] -= 1
                     if left[up] == 1:
                         peel.append(up)
                 hang[n] = up
-            self._hang = hang
-        return self._hang
+            # left now counts each core node's core neighbours
+            links: dict[int, tuple[int, ...]] = {}
+            for n, k in left.items():
+                if k == 2 and n not in hang:
+                    links[n] = tuple(x for x in around[n] if x not in hang)
+            beside: dict[int, list[tuple[int, int]]] = {}
+            for n, ends in links.items():
+                for c in ends:
+                    if c not in links:  # a run starts at c with n: walk it to its far end
+                        back, end = c, n
+                        while end in links:
+                            a, b = links[end]
+                            back, end = end, b if a == back else a
+                        beside.setdefault(c, []).append((n, end))
+            self._peel = Peel(hang, links, beside)
+        return self._peel
 
     @property
     def num_nodes(self) -> int:

@@ -160,17 +160,39 @@ def _dead_test(g: Graph, seeds: SeedSets) -> Callable[[int], bool]:
 
     Every leaf of a result is a seed, so no result holds a node that falls
     away when nodes that are no seed and have at most one distinct
-    neighbour are removed again and again. Such nodes lie in
-    ``g.dangling()``, and the peel keeps a dangling node exactly when a seed
-    hangs below it and, in a component that is a tree, the node also lies
-    on a path between two seeds. Walking up from each seed marks the first;
-    then the top of each tree component the walks reached is cut down while
-    it is no seed and has one marked child. This costs about seeds times
-    depth, never a pass over the graph.
+    neighbour are removed again and again. Such nodes lie in the ``hang``
+    of ``g.dangling()``, and the peel keeps a dangling node exactly when a
+    seed hangs below it and, in a component that is a tree, the node also
+    lies on a path between two seeds. Walking up from each seed marks the
+    first; then the top of each tree component the walks reached is cut
+    down while it is no seed and has one marked child. The core and the
+    dangling nodes kept are live.
+
+    A node that is no seed and has exactly two live neighbours is in a
+    result only with both of them, so a result that holds one node of a
+    chain of such nodes holds the whole chain and the nodes at both its
+    ends. When the ends are seeds that share a set, or one seed, no result
+    holds the chain: it would hold two seeds of that set, or close a cycle.
+    Such chains are cut in one round; their ends are seeds, so the cut
+    leaves no node with fewer live neighbours that a second round would
+    test. A chain lies wholly in the core, where a node has two live
+    neighbours when it is in ``links`` and has no marked dangling child, or
+    wholly among the dangling nodes. A core chain is walked from a seed in
+    ``links`` both ways, and from any other core seed along each of its
+    runs (``beside``) whose far end is a seed of one of its sets; a chain
+    that ends at a seed inside a run is walked from that seed. A dangling
+    chain is walked up from each dangling seed while each node has one
+    marked child; a walk that stops at a tree component's top that is no
+    seed and has exactly two marked children meets the walk up the other
+    child there. All of this costs about seeds times depth and chain
+    length, never a pass over the graph.
     """
-    hang, bits = g.dangling(), seeds.node_bits
+    hang, links, beside = g.dangling()
+    bits = seeds.node_bits
+    bit = bits.get
     live: set[int] = set()
     only: dict[int, int | None] = {}  # marked node -> its one marked child, None for several
+    forks: dict[int, int] = {}  # marked node with several marked children -> how many
     tops = []
     for n in bits:
         while n in hang and n not in live:
@@ -178,14 +200,53 @@ def _dead_test(g: Graph, seeds: SeedSets) -> Callable[[int], bool]:
             up = hang[n]
             if up is None:
                 tops.append(n)
+            elif up in only:
+                only[up] = None
+                forks[up] = forks.get(up, 1) + 1
             else:
-                only[up] = None if up in only else n
+                only[up] = n
             n = up
+    heads = set()  # the tops left that are no seed: forks with no live parent
     for n in tops:
         while n not in bits and only[n] is not None:
             live.discard(n)
             n = only[n]
-    return lambda n: n in hang and n not in live
+        if n not in bits:
+            heads.add(n)
+    cut: set[int] = set()
+    met: dict[int, tuple[int, list[int]]] = {}  # head -> (seed bits, chain) of the first walk up to it
+    for s, mask in bits.items():
+        if s in hang:
+            chain, up = [], hang[s]
+            while up in live and up not in bits and only[up] is not None:
+                chain.append(up)
+                up = hang[up]
+            if bit(up, 0) & mask:
+                cut.update(chain)
+            elif up in heads and forks[up] == 2:
+                if up not in met:
+                    met[up] = (mask, chain)
+                elif met[up][0] & mask:
+                    cut.update(chain, met[up][1], (up,))
+            continue
+        if s in links:
+            # s stands in for the far ends, which a seed inside a run does
+            # not know, so both ways are walked
+            a, b = links[s]
+            runs = ((a, s), (b, s))
+        else:
+            runs = beside.get(s, ())
+        for n, end in runs:
+            if not bit(end, 0) & mask:
+                continue
+            chain, back = [], s
+            while n in links and n not in bits and n not in only:
+                chain.append(n)
+                a, b = links[n]
+                back, n = n, b if a == back else a
+            if bit(n, 0) & mask:
+                cut.update(chain)
+    return lambda n: n in cut or n in hang and n not in live
 
 
 def _rooted_search(
@@ -200,16 +261,19 @@ def _rooted_search(
 
     * Grow: a pair ``(t, e)`` is queued when ``e`` may extend ``t`` at its
       root: ``t`` is below ``MAX``, ``e`` passes ``LABEL`` (and points into
-      the root under ``UNI``), and its far node is not dead (``_dead_test``),
-      new to ``t`` and no seed of a set ``t`` covers. The first time a tree
-      settles at a root, the root's grow steps ``(edge, far node, far seed
-      bits)`` that pass the first three tests are listed for the rest of
-      the search; the last two depend on the tree. Every tree grown, merged
-      or copied from a tree that holds a dead node holds it too, and no
-      result does, so the skipped steps could lead to no result. Pairs pop
-      smallest tree first, ties broken on ``(key, root, edge)``. With
-      skewed seed sets there is one queue per covered mask, and the queue
-      with the fewest pairs (then the smallest mask) is popped.
+      the root under ``UNI``), and its far node is not dead (a seedless
+      dangling node, or a node of a chain between seeds of one set: see
+      ``_dead_test``), new to ``t`` and no seed of a set ``t`` covers. The
+      first time a tree settles at a root, the root's grow steps ``(edge,
+      far node, far seed bits)`` that pass the first three tests are listed
+      for the rest of the search; the last two depend on the tree. Every
+      tree grown, merged or copied from a tree that holds a dead node holds
+      it too, and no result does, so the skipped steps could lead to no
+      result. Pairs pop smallest tree first, ties broken on ``(key, root,
+      edge)``. With skewed seed sets there is one queue per covered mask,
+      and the queue with the fewest pairs (then the smallest mask) is
+      popped; those lengths leave out the skipped steps, so pops there may
+      come in another order than without the skip.
     * Deduplicate: one map files each edge set with the roots it was built
       or copied at, results included. Before a grown or merged tree is
       built, plain ``gam`` discards it when its edge set was built at the
@@ -412,9 +476,10 @@ def _run_generations(
     Each generation grows every tree of the last one by one edge at any of
     its nodes, node by node in edge-id order. An edge may extend a tree
     below ``MAX`` when it passes ``LABEL`` and its far node is new to the
-    tree and no seed of a set the tree covers; a step toward a dead node
-    (``_dead_test``) is never made, since every tree grown or merged from a
-    tree that holds one holds it too, and no result does. The first time a
+    tree and no seed of a set the tree covers; a step toward a dead node (a
+    seedless dangling node, or a node of a chain between seeds of one set:
+    see ``_dead_test``) is never made, since every tree grown or merged from
+    a tree that holds one holds it too, and no result does. The first time a
     node is grown at, its grow steps ``(far node, far seed bits, edge
     bit)`` are listed once for the search, ``LABEL``, self-loops and dead
     far nodes left out; the other two tests depend on the tree and are

@@ -86,6 +86,41 @@ def peeled_nodes(g: Graph, seeds: SeedSets) -> set[int]:
         left -= drop
 
 
+def dead_nodes(g: Graph, seeds: SeedSets) -> set[int]:
+    """The nodes a search leaves dead, by brute force: ``peeled_nodes``, and
+    every maximal path of nodes that are no seed of a non-universal set and
+    have exactly two distinct neighbours (self-loops aside) among the nodes
+    left, when both ends of the path are seeds sharing a set. One seed at
+    both ends closes a cycle; a seed shares its sets with itself. The paths
+    are dropped in one round; since their ends are seeds, a second round
+    would drop nothing more.
+    """
+    dropped = peeled_nodes(g, seeds)
+    left = set(g.nodes) - dropped
+    bits = seeds.node_bits
+
+    def neighbours(n: int) -> set[int]:
+        return {g.other_endpoint(e, n) for e in g.adjacent_edges(n)} & left - {n}
+
+    inner = {n for n in left if n not in bits and len(neighbours(n)) == 2}
+    done: set[int] = set()
+    for start in inner:
+        if start in done:
+            continue
+        path, stack = set(), [start]
+        while stack:
+            n = stack.pop()
+            if n not in path:
+                path.add(n)
+                stack.extend(neighbours(n) & inner)
+        done |= path
+        # a path has two ends outside it (a cycle of inner nodes has none)
+        ends = [x for n in path for x in neighbours(n) - inner]
+        if len(ends) == 2 and bits.get(ends[0], 0) & bits.get(ends[1], 0):
+            dropped |= path
+    return dropped
+
+
 def result_identities(results) -> set:
     return {rt.identity() for rt in results}
 

@@ -20,7 +20,7 @@ from treeq.synth import gen_cdf, gen_chain, gen_comb, gen_random_instance, gen_s
 from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
 
 from conftest import make_graph, random_suite
-from oracles import brute_ctp, oracle_identities, peeled_nodes, post_filter_identities, reaches_all, result_identities
+from oracles import brute_ctp, dead_nodes, oracle_identities, post_filter_identities, reaches_all, result_identities
 
 ROOTED = ("gam", "esp", "moesp", "lesp", "molesp")
 
@@ -226,11 +226,16 @@ def test_grow_rejects_node_already_in_tree(path_abc, monkeypatch):
 
 def test_grow_rejects_seed_from_covered_set(path_abc, monkeypatch):
     g, _ = path_abc
-    seeds = SeedSets([(1,), (4, 6)])  # B and C in one set
     trace = _Trace(monkeypatch)
-    trace.run(g, seeds, "molesp")
+    # B and C in one set: node 5 lies on a chain between them, so no tree holds it
+    trace.run(g, SeedSets([(1,), (4, 6)]), "molesp")
+    assert trace.built and not any(5 in t.nodes for t in trace.built)
+    # a copy where 5 has a third live neighbour, a seed C' of the same set
+    forked = make_graph(["A", "1", "2", "B", "3", "C", "C'"], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)])
+    seeds = SeedSets([(1,), (4, 6, 7)])  # B, C and C' in one set
+    trace.run(forked, seeds, "molesp")
     assert ((4,), 5, frozenset({4, 5}), 0b10) in [t[:4] for t in trace.built]  # holds B
-    assert trace.queued_edges((4,), 5) == []  # edge 5 would reach C, same set
+    assert trace.queued_edges((4,), 5) == []  # edges 5 and 6 would reach C and C', same set
 
 
 def test_grow_respects_max_edges_and_labels(path_abc, monkeypatch):
@@ -1127,9 +1132,9 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
             assert set(reads) <= reached
             nearby = len({e for n in reached for e in Graph.adjacent_edges(big, n)})
             # edge bits are numbered as the grow steps list the edges: adjacency
-            # reads in order, self-loops and edges toward the nodes the peel
-            # drops left out, each edge at its first listing
-            dropped = peeled_nodes(big, big_seeds)
+            # reads in order, self-loops and edges toward dead nodes left out,
+            # each edge at its first listing
+            dropped = dead_nodes(big, big_seeds)
             edge_at = list(dict.fromkeys(
                 e for n in reads for e in Graph.adjacent_edges(big, n)
                 if big.edges[e].source != big.edges[e].target and big.other_endpoint(e, n) not in dropped
@@ -1156,9 +1161,11 @@ def test_generation_node_bits_follow_the_search_not_the_node_ids(monkeypatch):
 
 
 def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
-    # every leaf of a result is a seed, so no tree that either driver builds
-    # may hold a node the brute-force peel drops; the dangling nodes a search
-    # leaves dead are exactly the dropped ones, in every component
+    # every leaf of a result is a seed, and no result holds two seeds of one
+    # set, so no tree that either driver builds may hold a node the
+    # brute-force peel drops, or a chain of nodes with two live neighbours
+    # each between seeds of one set; the nodes a search leaves dead are
+    # exactly those, in every component
     built = []
     for name in ("_new_rooted_tree", "_new_gen_tree"):
         new = getattr(search, name)
@@ -1171,6 +1178,15 @@ def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
         [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (4, 6), (6, 7), (7, 7), (2, 8), (8, 2),
          (9, 10), (10, 11), (11, 12), (10, 13)],
     )
+    # a core cycle 1-2-3-4-5-1 with a second chain 1-6-5; 2 tied to 1 twice,
+    # 3 with a self-loop and 7 hanging from it; a triangle 8-9-10 tied to 1;
+    # a tree component (11 above 12, 13 and 14 under 12); 15 and 16 hanging
+    # from 5
+    chained = make_graph(
+        [str(i) for i in range(1, 17)],
+        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 6), (6, 5), (2, 1), (3, 3), (3, 7),
+         (1, 8), (8, 9), (9, 10), (10, 8), (11, 12), (12, 13), (12, 14), (5, 15), (15, 16)],
+    )
     w = gen_cdf(2, 16, 64, 3, 7)
     ((_, cdf16_seeds, _),) = plan_query(w.graph, validate_query(parse_query(w.query_text))).searches
     chain, comb, star = gen_chain(6), gen_comb(2, 1, 2, 1), gen_star(3, 2)
@@ -1179,16 +1195,26 @@ def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
         (hung, SeedSets([(7, 12), (8, 10)])),  # seeds in both components
         (hung, SeedSets([(11,), (9, 13)], [False, False])),
         (hung, SeedSets([(1,), (), (5,)], [False, True, False])),
+        (chained, SeedSets([(1, 5), (8,)])),  # chains of one set, and a cycle through a seed
+        (chained, SeedSets([(1,), (5,)])),  # chains between sets, and a cycle through no seed
+        (chained, SeedSets([(1, 3), (5,)])),  # a seed inside a core chain
+        (chained, SeedSets([(1, 7), (5,)])),  # a chain node with a live dangling branch
+        (chained, SeedSets([(8,), (1,)])),  # a cycle through one seed
+        (chained, SeedSets([(1, 3), (3, 5)])),  # a node in two sets
+        (chained, SeedSets([(1, 5), (), (16,)], [False, True, False])),  # a universal set
+        (chained, SeedSets([(5, 16), (1,)])),  # a dangling chain up to a seed in the core
+        (chained, SeedSets([(13, 14), (1,)])),  # a chain through the top of a tree component
+        (chained, SeedSets([(13, 14), (11,)])),
         (chain.graph, SeedSets([(2,), (5,)])),  # a tree with parallel edges
         (comb.graph, comb.seeds()),
         (star.graph, SeedSets(star.seed_sets[:2])),
         (fig1, SeedSets([(2, 4), (3, 6), (9,)])),
-        (w.graph, cdf16_seeds),
+        (w.graph, cdf16_seeds),  # dangling forest trees that hang from seeds
         *random_suite(12, [1, 2, 3, 2, 3, 3], rng_seed=20250811),
         *random_suite(6, [4, 5, 6], rng_seed=20250812),
     ]
     for g, seeds in cases:
-        dropped = peeled_nodes(g, seeds)
+        dropped = dead_nodes(g, seeds)
         dead = search._dead_test(g, seeds)
         assert {n for n in g.nodes if dead(n)} == dropped
         labels = frozenset(g.edges[e].label for e in sorted(g.edges)[::2])
