@@ -192,16 +192,16 @@ EXTRA_PINNED = {
     ("fig1_skewed_ties", "moesp"): (23, 8, 12, 3, "a97921bab8029504"),
     ("fig1_skewed_ties", "lesp"): (18, 8, 12, 2, "3183ef102897e49a"),
     ("fig1_skewed_ties", "molesp"): (23, 8, 12, 3, "a97921bab8029504"),
-    ("cdf8_skewed", "gam"): (830, 0, 770, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "esp"): (722, 52, 714, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "moesp"): (730, 52, 714, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "lesp"): (722, 52, 714, 2, "3e8c2d268f0617df"),
-    ("cdf8_skewed", "molesp"): (730, 52, 714, 2, "3e8c2d268f0617df"),
-    ("cdf16", "gam"): (768, 0, 576, 64, "7684550037207385"),
-    ("cdf16", "esp"): (576, 192, 576, 64, "7684550037207385"),
-    ("cdf16", "moesp"): (576, 192, 576, 64, "7684550037207385"),
-    ("cdf16", "lesp"): (576, 192, 576, 64, "7684550037207385"),
-    ("cdf16", "molesp"): (576, 192, 576, 64, "7684550037207385"),
+    ("cdf8_skewed", "gam"): (743, 0, 683, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "esp"): (635, 52, 627, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "moesp"): (643, 52, 627, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "lesp"): (635, 52, 627, 2, "3e8c2d268f0617df"),
+    ("cdf8_skewed", "molesp"): (643, 52, 627, 2, "3e8c2d268f0617df"),
+    ("cdf16", "gam"): (576, 0, 384, 64, "7684550037207385"),
+    ("cdf16", "esp"): (384, 192, 384, 64, "7684550037207385"),
+    ("cdf16", "moesp"): (384, 192, 384, 64, "7684550037207385"),
+    ("cdf16", "lesp"): (384, 192, 384, 64, "7684550037207385"),
+    ("cdf16", "molesp"): (384, 192, 384, 64, "7684550037207385"),
     ("m456_50", "moesp"): (2951, 1479, 554, 42, "6fe431d49d7383c5"),
     ("m456_50", "molesp"): (3446, 1406, 735, 42, "6fe431d49d7383c5"),
     ("m456_70", "moesp"): (817, 602, 301, 69, "f49702cb10ce57ee"),
