@@ -100,7 +100,7 @@ def dead_nodes(g: Graph, seeds: SeedSets) -> set[int]:
     bits = seeds.node_bits
 
     def neighbours(n: int) -> set[int]:
-        return {g.other_endpoint(e, n) for e in g.adjacent_edges(n)} & left - {n}
+        return ({g.other_endpoint(e, n) for e in g.adjacent_edges(n)} - {n}) & left
 
     inner = {n for n in left if n not in bits and len(neighbours(n)) == 2}
     done: set[int] = set()
