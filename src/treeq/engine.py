@@ -8,7 +8,7 @@ from typing import Any, Sequence
 from .bindings import BindingTable, candidates, evaluate_bgp, join_all
 from .graph import Graph
 from .lang import Ctp, Predicate, QueryAst, ValidatedQuery, satisfies, validate_query
-from .search import SearchConfig, check_config, run_search
+from .search import SearchConfig, _gc_paused, check_config, run_search
 from .trees import SeedSets
 
 
@@ -126,6 +126,7 @@ def plan_query(
     return QueryPlan(tables, tuple(zip(ast.ctps, per_ctp_seeds, configs)))
 
 
+@_gc_paused
 def evaluate_query(
     g: Graph,
     query: QueryAst | ValidatedQuery,
@@ -139,7 +140,8 @@ def evaluate_query(
 
     ``timeout_ms`` is the per-search default used when the query states no
     budget (see ``plan_query``); a search hitting its budget marks the result
-    partial.
+    partial. The cyclic garbage collector is off while it runs (see
+    ``search._gc_paused``).
     """
     vq = query if isinstance(query, ValidatedQuery) else validate_query(query)
     head = tuple(vq.ast.head)

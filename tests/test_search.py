@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import threading
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,7 @@ from treeq import search
 from treeq.graph import Graph
 from treeq.lang import CtpFilters
 from treeq.search import ALGORITHMS, SearchConfig, apply_score_topk, guaranteed_found, run_search
-from treeq.engine import plan_query
+from treeq.engine import evaluate_query, plan_query
 from treeq.lang import parse_query, validate_query
 from treeq.synth import gen_cdf, gen_chain, gen_comb, gen_random_instance, gen_star
 from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
@@ -595,18 +597,112 @@ def test_merge_all_with_no_partners_is_noop(path_abc, monkeypatch):
     assert after[: after.index("popped")] == ["queued"]
 
 
+def _raises_seed_set_error(call):
+    try:
+        call()
+    except SeedSetError:
+        return
+    raise AssertionError("no SeedSetError")
+
+
 def test_search_leaves_no_cyclic_garbage(fig1):
-    # a search that left reference cycles would hand the collector its whole state
-    w = gen_chain(6)
-    for g, seeds in ((fig1, SeedSets([(2, 4), (3, 6), (9,)])), (w.graph, w.seeds())):
-        for algorithm in ALGORITHMS:
-            gc.collect()
-            gc.disable()
-            try:
-                run_search(g, seeds, SearchConfig(algorithm=algorithm))
-                assert gc.collect() == 0, algorithm
-            finally:
-                gc.enable()
+    # a search that left reference cycles would hand the collector its whole
+    # state; run_search and evaluate_query keep the collector off while they
+    # run, so such cycles would pile up until it ran again
+    chain6, chain14 = gen_chain(6), gen_chain(14)
+    seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    skewed = SeedSets([tuple(range(1, 11)), (11,)])  # one queue per covered mask
+    filtered = (
+        CtpFilters(uni=True),
+        CtpFilters(labels=frozenset({"founded", "investsIn", "citizenOf"})),
+        CtpFilters(max_edges=3),
+        CtpFilters(score="edgecount", top_k=2),
+    )
+    cases = {}
+    for algorithm in ALGORITHMS:
+        for name, g, s, filters in [
+            ("fig1", fig1, seeds, CtpFilters()),
+            ("chain6", chain6.graph, chain6.seeds(), CtpFilters()),
+            *((f"fig1 {f}", fig1, seeds, f) for f in filtered),
+        ]:
+            cases[name, algorithm] = partial(run_search, g, s, SearchConfig(algorithm, filters))
+    for algorithm in ("bft_m", "bft_am", "molesp"):
+        cfg = SearchConfig(algorithm, CtpFilters(timeout_ms=5))
+        cases["chain14 deadline", algorithm] = lambda cfg=cfg: run_search(chain14.graph, chain14.seeds(), cfg)[1].timed_out
+    for algorithm in ROOTED:
+        cases["fig1 skewed", algorithm] = partial(run_search, fig1, skewed, SearchConfig(algorithm))
+    cases["no graph node", "molesp"] = partial(_raises_seed_set_error, partial(run_search, fig1, SeedSets([(2,), (99,)]), SearchConfig()))
+    for w in (gen_cdf(2, 8, 16, 3, 1), gen_cdf(3, 4, 8, 3, 1)):  # the m=3 query is under UNI
+        cases[f"cdf m={w.parameters['m']}", "query"] = partial(evaluate_query, w.graph, parse_query(w.query_text))
+    for case, call in cases.items():
+        gc.collect()
+        gc.disable()
+        try:
+            assert call() is not False, case  # each deadline case does hit its deadline
+            assert gc.collect() == 0, case
+        finally:
+            gc.enable()
+
+
+def test_searches_pause_the_cyclic_collector(fig1):
+    w = gen_cdf(2, 24, 48, 3, 1)
+    query = parse_query(w.query_text)
+    started_inside = []
+
+    def started(phase, info):
+        # a collection starts at an allocation; a frame of treeq below this
+        # callback means that allocation was made inside the query
+        f = sys._getframe(1)
+        while f is not None and not f.f_globals.get("__name__", "").startswith("treeq."):
+            f = f.f_back
+        if phase == "start" and f is not None:
+            started_inside.append(info["generation"])
+
+    gc.callbacks.append(started)
+    try:
+        ((_, seeds, cfg),) = plan_query(w.graph, validate_query(query)).searches
+        run_search(w.graph, seeds, cfg)
+        evaluate_query(w.graph, query)
+    finally:
+        gc.callbacks.remove(started)
+    assert started_inside == []
+    assert gc.isenabled()
+
+    with pytest.raises(SeedSetError):
+        run_search(fig1, SeedSets([(99,)]), SearchConfig())
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        evaluate_query(fig1, query, algorithm="dijkstra")
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        run_search(fig1, SeedSets([(2, 4), (3, 6)]), SearchConfig())
+        evaluate_query(w.graph, query)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    chain = gen_chain(6)
+    done = []
+
+    def searches():
+        for _ in range(20):
+            done.append(len(run_search(chain.graph, chain.seeds(), SearchConfig())[0]))
+
+    threads = [threading.Thread(target=searches) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [64] * 80
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------
