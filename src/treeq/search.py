@@ -251,6 +251,45 @@ def _dead_test(g: Graph, seeds: SeedSets) -> Callable[[int], bool]:
     return lambda n: n in cut or n in hang and n not in live
 
 
+def _hop_reach(
+    g: Graph, seeds: SeedSets, labels_ok: frozenset[str] | None, dead: Callable[[int], bool], max_edges: int,
+    deadline: float | None,
+) -> dict[int, list[int]] | None:
+    """Which seed sets lie how near each node; None once the deadline has passed.
+
+    ``reach[n][k]``, for ``k`` below ``max_edges``, is the mask of the
+    non-universal sets with a seed at most ``k`` hops from ``n``, in either
+    direction, over edges that pass ``LABEL`` and nodes that are not dead
+    (see ``_dead_test``). A node with no set that near is left out. Each set
+    takes one breadth-first search from its seeds, of radius ``max_edges -
+    1``, that reads the clock before each level.
+    """
+    edges, around = g.edges, g.adjacent_edges
+    reach: dict[int, list[int]] = {}
+    for bit, orig in enumerate(seeds.active):
+        level = seeds.sets[orig]
+        reached = set(level)
+        for d in range(max_edges):
+            for n in level:
+                masks = reach.setdefault(n, [0] * max_edges)
+                for k in range(d, max_edges):
+                    masks[k] |= 1 << bit
+            if d == max_edges - 1:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            nxt = []
+            for n in level:
+                for e in around(n):
+                    _, source, target, label = edges[e]
+                    far = source if target == n else target
+                    if far not in reached and (labels_ok is None or label in labels_ok) and not dead(far):
+                        reached.add(far)
+                        nxt.append(far)
+            level = nxt
+    return reach
+
+
 def _rooted_search(
     g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
 ) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -271,11 +310,26 @@ def _rooted_search(
       for the rest of the search; the last two depend on the tree. Every
       tree grown, merged or copied from a tree that holds a dead node holds
       it too, and no result does, so the skipped steps could lead to no
-      result. Pairs pop smallest tree first, ties broken on ``(key, root,
-      edge)``. With skewed seed sets there is one queue per covered mask,
-      and the queue with the fewest pairs (then the smallest mask) is
-      popped; those lengths leave out the skipped steps, so pops there may
-      come in another order than without the skip.
+      result. Under ``MAX`` the grown tree must also fit its bound: its
+      size plus the largest ``d`` over the sets it does not cover is at
+      most ``MAX``, where ``d`` is the fewest hops from a seed of the set
+      to the tree's root or, under re-rooting, to the root or a seed the
+      tree holds. A tree gains edges only where it is rooted, and
+      re-rooted copies sit on its seeds, so every edge a result adds to a
+      tree meets it at its root or at one of those seeds. For each set the
+      tree does not cover, the result adds a path from there to a seed of
+      that set, of at least ``d`` edges that pass ``LABEL`` and meet no
+      dead node. ``d`` comes from ``_hop_reach``, once per search; a
+      failing pair is counted in ``trees_pruned`` and its tree is not
+      filed as seen. The bound depends on the edge set and root alone, so
+      ``gam`` finds what it finds without it, and so, on both random
+      suites, do ``moesp`` and ``molesp``; ``esp`` and ``lesp`` can find
+      more, since the skipped tree no longer claims its edge set. Pairs pop
+      smallest tree first, ties broken on ``(key, root, edge)``. With
+      skewed seed sets there is one queue per covered mask, and the queue
+      with the fewest pairs (then the smallest mask) is popped; those
+      lengths leave out the skipped steps, so pops there may come in
+      another order than without the skip.
     * Deduplicate: one map files each edge set with the roots it was built
       or copied at, results included. Before a grown or merged tree is
       built, plain ``gam`` discards it when its edge set was built at the
@@ -301,7 +355,8 @@ def _rooted_search(
       merge would build and count nothing. Copies land on seeds, beside
       the start tree's bucket, so they are always merged.
 
-    The deadline is checked before every pop and every merge round.
+    The deadline is checked before each level of the ``MAX`` pre-pass, every
+    pop and every merge round.
     """
     uni, labels_ok, max_edges = filters.uni, filters.labels, filters.max_edges
     edges, full_mask, bits = g.edges, seeds.full_mask, seeds.node_bits.get
@@ -314,6 +369,13 @@ def _rooted_search(
     spares_merges = algorithm in ("lesp", "molesp")
     new_tree = _new_rooted_tree
     dead = _dead_test(g, seeds)
+    starts = list(_start_nodes(g, seeds))  # checks the seeds before the pre-pass reads them
+    reach = None
+    if max_edges is not None:
+        reach = _hop_reach(g, seeds, labels_ok, dead, max_edges, deadline)
+        if reach is None:
+            stats.timed_out = True
+            return set()
     steps_of: dict[int, list[tuple[int, int, int]]] = {}  # root -> its grow steps, listed on first use
 
     # grow pairs (len(key), key, root, edge, tree, far node, far seed bits);
@@ -370,8 +432,27 @@ def _rooted_search(
                 if (labels_ok is None or label in labels_ok) and not dead(far):
                     steps.append((e, far, bits(far, 0)))
         size = len(key)
+        if reach is None:
+            for e, far, far_bits in steps:
+                if far in nodes or far_bits & covered:
+                    continue
+                queue = queues.setdefault(covered, []) if multi_queue else heap
+                heappush(queue, (size, key, root, e, t, far, far_bits))
+            return partnered
+        # a grown tree has room for this many more edges, which must reach
+        # each set it does not cover from its root or, under re-rooting, a seed
+        room = max_edges - size - 1
+        need, near, reach_of = full_mask & ~covered, 0, reach.get
+        if reroot:
+            for n in nodes:
+                if bits(n):
+                    near |= reach[n][room]
         for e, far, far_bits in steps:
             if far in nodes or far_bits & covered:
+                continue
+            masks = reach_of(far)
+            if masks is None or need & ~(near | masks[room]):
+                stats.trees_pruned += 1
                 continue
             queue = queues.setdefault(covered, []) if multi_queue else heap
             heappush(queue, (size, key, root, e, t, far, far_bits))
@@ -418,7 +499,7 @@ def _rooted_search(
                         pending.append(merged)
 
     try:
-        for s in _start_nodes(g, seeds):
+        for s in starts:
             signatures[s] = signatures.get(s, 0) | bits(s)
             settle(new_tree(((), s, frozenset((s,)), bits(s), s, False)))
         while True:

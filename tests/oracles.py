@@ -121,6 +121,32 @@ def dead_nodes(g: Graph, seeds: SeedSets) -> set[int]:
     return dropped
 
 
+def set_distances(
+    g: Graph, seeds: SeedSets, labels: frozenset[str] | None = None, removed: frozenset[int] = frozenset()
+) -> list[dict[int, int]]:
+    """For each non-universal seed set, in bit order, the hop distance from
+    its nearest seed to every node it reaches, by plain breadth-first search
+    over the whole graph with no radius: edges are followed in either
+    direction when their label is in ``labels`` (any label when None), and
+    the nodes in ``removed`` are left out of the graph."""
+    tables = []
+    for orig in seeds.active:
+        dist = {s: 0 for s in seeds.sets[orig] if s not in removed}
+        frontier = list(dist)
+        while frontier:
+            nxt = []
+            for n in frontier:
+                for eid in g.adjacent_edges(n):
+                    far = g.other_endpoint(eid, n)
+                    if far in dist or far in removed or labels is not None and g.edges[eid].label not in labels:
+                        continue
+                    dist[far] = dist[n] + 1
+                    nxt.append(far)
+            frontier = nxt
+        tables.append(dist)
+    return tables
+
+
 def result_identities(results) -> set:
     return {rt.identity() for rt in results}
 

@@ -22,7 +22,9 @@ from treeq.synth import gen_cdf, gen_chain, gen_comb, gen_random_instance, gen_s
 from treeq.trees import SeedSetError, SeedSets, classify_result, minimize
 
 from conftest import make_graph, random_suite
-from oracles import brute_ctp, dead_nodes, oracle_identities, post_filter_identities, reaches_all, result_identities
+from oracles import (
+    brute_ctp, dead_nodes, oracle_identities, post_filter_identities, reaches_all, result_identities, set_distances,
+)
 
 ROOTED = ("gam", "esp", "moesp", "lesp", "molesp")
 
@@ -241,11 +243,27 @@ def test_grow_rejects_seed_from_covered_set(path_abc, monkeypatch):
 
 
 def test_grow_respects_max_edges_and_labels(path_abc, monkeypatch):
-    g, seeds = path_abc
+    # x(1) with seeds A(2), B(3), C(4) around it: the one result has 3 edges
+    star = make_graph(["x", "A", "B", "C"], [(2, 1), (3, 1), (4, 1)])
     trace = _Trace(monkeypatch)
-    trace.run(g, seeds, "molesp", max_edges=1)
-    assert ((1,), 2) in [(t.key, t.root) for t in trace.built]
-    assert trace.queued and all(not t.key for t, _ in trace.queued)  # a second edge would exceed MAX 1
+    for algorithm in ROOTED:
+        trace.run(star, SeedSets([(2,), (3,), (4,)]), algorithm, max_edges=2)
+        # every set lies one hop from x, so the bound lets each first edge through
+        assert {(t.key, t.root) for t in trace.built if len(t.key) == 1} == {((1,), 1), ((2,), 1), ((3,), 1)}
+        # two of them merge at x into trees of MAX 2 edges that are no result and grow no further
+        assert any(len(t.key) == 2 for t in trace.built), algorithm
+        assert trace.queued and all(len(t.key) < 2 for t, _ in trace.queued), algorithm
+    g, seeds = path_abc
+    for algorithm in ROOTED:
+        # the one result has 5 edges, and a tree of one edge is 3 or more hops from some set
+        trace.run(g, seeds, algorithm, max_edges=2)
+        assert all(not t.key for t in trace.built), algorithm
+    # from x(3), A is 2 hops away and C 3: gam skips B-x under MAX 3; the
+    # re-rooting variants let it through, since B itself is 2 hops from C
+    trace.run(g, seeds, "gam", max_edges=3)
+    assert all(not t.key for t in trace.built)
+    trace.run(g, seeds, "molesp", max_edges=3)
+    assert [(t.key, t.root) for t in trace.built if t.key] == [((3,), 3)]
     trace.run(g, seeds, "molesp", labels=frozenset({"zzz"}))
     assert trace.queued == []
     assert all(not t.key for t in trace.built)
@@ -1322,3 +1340,97 @@ def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
     for algorithm in ALGORITHMS:
         with pytest.raises(SeedSetError):
             run_search(hung, SeedSets([(5,), (99,)]), SearchConfig(algorithm=algorithm))
+
+
+# ---------------------------------------------------------------------------
+# the MAX distance bound
+
+
+def _reach_distances(reach, bit):
+    """One set's hop distances, read back from ``_hop_reach``'s masks."""
+    return {
+        n: min(k for k, mask in enumerate(masks) if mask >> bit & 1)
+        for n, masks in reach.items()
+        if masks[-1] >> bit & 1
+    }
+
+
+def test_hop_reach_agrees_with_breadth_first_oracle():
+    # the cycle B(1)-A(2)-3-4-A'(5)-6-7-8-9-10-11-B(1): 3 and 4 form a chain
+    # between two seeds of one set, so they are dead, and B reaches A' the
+    # long way round, 7 hops against 4 through the dead chain
+    ring = make_graph([str(i) for i in range(1, 12)], [*((i, i + 1) for i in range(1, 11)), (11, 1)])
+    ring_seeds = SeedSets([(2, 5), (1,)])
+    assert dead_nodes(ring, ring_seeds) == {3, 4}
+    cases = [(ring, ring_seeds, None), (ring, SeedSets([(2,), (), (1,)], [False, True, False]), None)]
+    for g, seeds in [*random_suite(30, [1, 2, 3], rng_seed=20250811), *random_suite(10, [4, 5, 6], rng_seed=20250812)]:
+        cases += [(g, seeds, None), (g, seeds, frozenset({"a"})), (g, seeds, frozenset({"a", "c"}))]
+    longer = 0
+    for g, seeds, labels in cases:
+        dead = search._dead_test(g, seeds)
+        live = set_distances(g, seeds, labels, frozenset(n for n in g.nodes if dead(n)))
+        plain = set_distances(g, seeds, labels)
+        for max_edges in (1, 2, 4, 8):
+            reach = search._hop_reach(g, seeds, labels, dead, max_edges, None)
+            for bit in range(len(seeds.active)):
+                table = _reach_distances(reach, bit)
+                assert table == {n: d for n, d in live[bit].items() if d <= max_edges - 1}
+                # a lower bound on the distance in the whole graph as well
+                assert all(plain[bit][n] <= d for n, d in table.items())
+                longer += sum(plain[bit][n] < d for n, d in table.items())
+    ring_reach = search._hop_reach(ring, ring_seeds, None, search._dead_test(ring, ring_seeds), 8, None)
+    assert _reach_distances(ring_reach, 1)[5] == 7
+    assert longer > 0
+
+
+def test_max_bound_keeps_the_rows_it_must():
+    # under MAX the bound skips trees that lead to no result: gam still finds
+    # every result, moesp and molesp every result they guarantee, and the
+    # others only results
+    instances = [
+        *random_suite(200, [1, 2, 3, 2, 3, 3], rng_seed=20250811)[::3],
+        *random_suite(100, [4, 5, 6], rng_seed=20250812)[::3],
+    ]
+    guaranteed = 0
+    for g, seeds in instances:
+        for max_edges in (2, 3, 4, 6):
+            filters = CtpFilters(max_edges=max_edges)
+            baseline = run_search(g, seeds, SearchConfig("bft", filters))[0]
+            expected = result_identities(baseline)
+            rows = {a: result_identities(run_search(g, seeds, SearchConfig(a, filters))[0]) for a in ROOTED}
+            assert rows["gam"] == expected
+            for algorithm in ROOTED:
+                assert rows[algorithm] <= expected, algorithm
+            for rt in baseline:
+                cls = classify_result(g, rt.edges, seeds)
+                for algorithm in ("moesp", "molesp"):
+                    if guaranteed_found(algorithm, seeds.m, cls):
+                        guaranteed += 1
+                        assert rt.identity() in rows[algorithm], algorithm
+    assert guaranteed > 500
+
+
+def test_max_prepass_reads_the_clock_once_per_level(fig1, monkeypatch):
+    # under MAX 4 each of the three sets is searched to radius 3: the clock
+    # is read before each of its levels, and a clock that has passed the
+    # deadline there ends the search before any tree is built, partial
+    reads = []
+
+    def monotonic():
+        reads.append(sys._getframe(1).f_code.co_name)
+        return 1e9 if expired and reads[-1] == "_hop_reach" else 0.0
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=monotonic))
+    seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    cfg = SearchConfig("molesp", CtpFilters(max_edges=4, timeout_ms=1000))
+    expired = False
+    expected = run_search(fig1, seeds, SearchConfig("molesp", CtpFilters(max_edges=4)))
+    assert run_search(fig1, seeds, cfg) == expected
+    assert reads.count("_hop_reach") == 3 * 3
+    reads.clear()
+    expired = True
+    results, stats = run_search(fig1, seeds, cfg)
+    assert stats.timed_out and not results and stats.provenances_built == 0
+    assert reads.count("_hop_reach") == 1 and reads[-1] == "_hop_reach"
+    query = '(?t) :- (?x[id = 2], ?y[id = 3], ?z[id = 9], TREE ?t) MAX 4 TIMEOUT 1000'
+    assert evaluate_query(fig1, parse_query(query)).partial

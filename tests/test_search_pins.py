@@ -34,11 +34,11 @@ PINNED = {
     ("fig1_max4", "bft"): (250, 279, 0, 4, "e862ba2d684d29dc"),
     ("fig1_max4", "bft_m"): (250, 505, 0, 4, "e862ba2d684d29dc"),
     ("fig1_max4", "bft_am"): (250, 759, 0, 4, "e862ba2d684d29dc"),
-    ("fig1_max4", "gam"): (166, 0, 128, 4, "e862ba2d684d29dc"),
-    ("fig1_max4", "esp"): (60, 35, 68, 0, "4f53cda18c2baa0c"),
-    ("fig1_max4", "moesp"): (89, 35, 68, 4, "e862ba2d684d29dc"),
-    ("fig1_max4", "lesp"): (65, 30, 68, 0, "4f53cda18c2baa0c"),
-    ("fig1_max4", "molesp"): (94, 30, 68, 4, "e862ba2d684d29dc"),
+    ("fig1_max4", "gam"): (67, 43, 39, 4, "e862ba2d684d29dc"),
+    ("fig1_max4", "esp"): (31, 37, 24, 0, "4f53cda18c2baa0c"),
+    ("fig1_max4", "moesp"): (70, 36, 38, 4, "e862ba2d684d29dc"),
+    ("fig1_max4", "lesp"): (35, 33, 24, 0, "4f53cda18c2baa0c"),
+    ("fig1_max4", "molesp"): (74, 32, 38, 4, "e862ba2d684d29dc"),
     ("fig1_labels", "bft"): (76, 59, 0, 3, "7d7ca381b14938af"),
     ("fig1_labels", "bft_m"): (76, 113, 0, 3, "7d7ca381b14938af"),
     ("fig1_labels", "bft_am"): (78, 200, 0, 3, "7d7ca381b14938af"),
