@@ -254,27 +254,23 @@ def _dead_test(g: Graph, seeds: SeedSets) -> Callable[[int], bool]:
 def _hop_reach(
     g: Graph, seeds: SeedSets, labels_ok: frozenset[str] | None, dead: Callable[[int], bool], max_edges: int,
     deadline: float | None,
-) -> dict[int, list[int]] | None:
-    """Which seed sets lie how near each node; None once the deadline has passed.
+) -> list[dict[int, int]] | None:
+    """How near each non-universal set lies, in bit order; None once the deadline has passed.
 
-    ``reach[n][k]``, for ``k`` below ``max_edges``, is the mask of the
-    non-universal sets with a seed at most ``k`` hops from ``n``, in either
-    direction, over edges that pass ``LABEL`` and nodes that are not dead
-    (see ``_dead_test``). A node with no set that near is left out. Each set
-    takes one breadth-first search from its seeds, of radius ``max_edges -
-    1``, that reads the clock before each level.
+    ``reach[bit][n]`` is the fewest hops from a seed of the set to ``n``, in
+    either direction, over edges that pass ``LABEL`` and nodes that are not
+    dead (see ``_dead_test``); a node more than ``max_edges - 1`` hops away
+    is left out. Each set takes one breadth-first search from its seeds that
+    reads the clock before each level and ends at an empty one, so a table
+    holds at most one entry a node however large ``MAX`` is.
     """
     edges, around = g.edges, g.adjacent_edges
-    reach: dict[int, list[int]] = {}
-    for bit, orig in enumerate(seeds.active):
+    reach: list[dict[int, int]] = []
+    for orig in seeds.active:
         level = seeds.sets[orig]
-        reached = set(level)
-        for d in range(max_edges):
-            for n in level:
-                masks = reach.setdefault(n, [0] * max_edges)
-                for k in range(d, max_edges):
-                    masks[k] |= 1 << bit
-            if d == max_edges - 1:
+        hops = dict.fromkeys(level, 0)
+        for d in range(1, max_edges):
+            if not level:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 return None
@@ -283,10 +279,11 @@ def _hop_reach(
                 for e in around(n):
                     _, source, target, label = edges[e]
                     far = source if target == n else target
-                    if far not in reached and (labels_ok is None or label in labels_ok) and not dead(far):
-                        reached.add(far)
+                    if far not in hops and (labels_ok is None or label in labels_ok) and not dead(far):
+                        hops[far] = d
                         nxt.append(far)
             level = nxt
+        reach.append(hops)
     return reach
 
 
@@ -421,8 +418,18 @@ def _rooted_search(
         # t's own bucket fails t's clash test unless t covers nothing outside
         # the root (the copies' merges above may have filed other buckets)
         partnered = len(buckets) > 1 or not covered & ~bits(root, 0)
-        if max_edges is not None and len(key) >= max_edges:
-            return partnered
+        size = len(key)
+        # under MAX, the sets a grown tree does not cover, each of which it must
+        # still reach within its room from its root or, under re-rooting, a seed
+        lacking: list[dict[int, int]] | tuple[()] = ()
+        if max_edges is not None:
+            if size >= max_edges:
+                return partnered
+            room = max_edges - size - 1
+            lacking = [hops for bit, hops in enumerate(reach) if not covered >> bit & 1]
+            if reroot and lacking:  # copies grow at t's seeds too; O(|t|) a settle
+                held = [n for n in nodes if bits(n)]
+                lacking = [hops for hops in lacking if all(hops.get(n, max_edges) > room for n in held)]
         steps = steps_of.get(root)
         if steps is None:
             steps = steps_of[root] = []
@@ -431,27 +438,10 @@ def _rooted_search(
                 far = source if target == root else target
                 if (labels_ok is None or label in labels_ok) and not dead(far):
                     steps.append((e, far, bits(far, 0)))
-        size = len(key)
-        if reach is None:
-            for e, far, far_bits in steps:
-                if far in nodes or far_bits & covered:
-                    continue
-                queue = queues.setdefault(covered, []) if multi_queue else heap
-                heappush(queue, (size, key, root, e, t, far, far_bits))
-            return partnered
-        # a grown tree has room for this many more edges, which must reach
-        # each set it does not cover from its root or, under re-rooting, a seed
-        room = max_edges - size - 1
-        need, near, reach_of = full_mask & ~covered, 0, reach.get
-        if reroot:
-            for n in nodes:
-                if bits(n):
-                    near |= reach[n][room]
         for e, far, far_bits in steps:
             if far in nodes or far_bits & covered:
                 continue
-            masks = reach_of(far)
-            if masks is None or need & ~(near | masks[room]):
+            if lacking and any(hops.get(far, max_edges) > room for hops in lacking):
                 stats.trees_pruned += 1
                 continue
             queue = queues.setdefault(covered, []) if multi_queue else heap

@@ -1346,15 +1346,6 @@ def test_no_tree_holds_a_node_the_peel_drops(fig1, monkeypatch):
 # the MAX distance bound
 
 
-def _reach_distances(reach, bit):
-    """One set's hop distances, read back from ``_hop_reach``'s masks."""
-    return {
-        n: min(k for k, mask in enumerate(masks) if mask >> bit & 1)
-        for n, masks in reach.items()
-        if masks[-1] >> bit & 1
-    }
-
-
 def test_hop_reach_agrees_with_breadth_first_oracle():
     # the cycle B(1)-A(2)-3-4-A'(5)-6-7-8-9-10-11-B(1): 3 and 4 form a chain
     # between two seeds of one set, so they are dead, and B reaches A' the
@@ -1368,18 +1359,18 @@ def test_hop_reach_agrees_with_breadth_first_oracle():
     longer = 0
     for g, seeds, labels in cases:
         dead = search._dead_test(g, seeds)
-        live = set_distances(g, seeds, labels, frozenset(n for n in g.nodes if dead(n)))
+        live = set_distances(g, seeds, labels, frozenset(dead_nodes(g, seeds)))
         plain = set_distances(g, seeds, labels)
-        for max_edges in (1, 2, 4, 8):
+        for max_edges in (1, 2, 4, 8, 10**9):
             reach = search._hop_reach(g, seeds, labels, dead, max_edges, None)
             for bit in range(len(seeds.active)):
-                table = _reach_distances(reach, bit)
+                table = reach[bit]
                 assert table == {n: d for n, d in live[bit].items() if d <= max_edges - 1}
                 # a lower bound on the distance in the whole graph as well
                 assert all(plain[bit][n] <= d for n, d in table.items())
                 longer += sum(plain[bit][n] < d for n, d in table.items())
     ring_reach = search._hop_reach(ring, ring_seeds, None, search._dead_test(ring, ring_seeds), 8, None)
-    assert _reach_distances(ring_reach, 1)[5] == 7
+    assert ring_reach[1][5] == 7
     assert longer > 0
 
 
@@ -1434,3 +1425,15 @@ def test_max_prepass_reads_the_clock_once_per_level(fig1, monkeypatch):
     assert reads.count("_hop_reach") == 1 and reads[-1] == "_hop_reach"
     query = '(?t) :- (?x[id = 2], ?y[id = 3], ?z[id = 9], TREE ?t) MAX 4 TIMEOUT 1000'
     assert evaluate_query(fig1, parse_query(query)).partial
+
+
+def test_a_huge_max_finds_what_no_max_finds(fig1):
+    # MAX 10**9 states no real limit: every rooted search and the query
+    # find what they find with no MAX
+    seeds = SeedSets([(2, 4), (3, 6), (9,)])
+    for algorithm in ROOTED:
+        unbounded = run_search(fig1, seeds, SearchConfig(algorithm))[0]
+        assert run_search(fig1, seeds, SearchConfig(algorithm, CtpFilters(max_edges=10**9)))[0] == unbounded
+    query = '(?t) :- (?x[id = 2], ?y[id = 3], ?z[id = 9], TREE ?t)'
+    expected = evaluate_query(fig1, parse_query(query)).rows
+    assert expected and evaluate_query(fig1, parse_query(query + ' MAX 1000000000')).rows == expected
