@@ -3,9 +3,9 @@
 Two families share the soundness conditions (a tree never repeats a node,
 and never holds two seeds from one set):
 
-* generation-based search (``bft``, ``bft_m``, ``bft_am``): unrooted edge
-  sets grown breadth-first from any tree node, reported once every leaf is
-  a seed;
+* generation-based search (``bft``, ``bft_m``, ``bft_am``): edge sets
+  grown breadth-first from any tree node, reported once every leaf is a
+  seed; under ``UNI`` only out-arborescences are grown and merged;
 * rooted search (``gam``, ``esp``, ``moesp``, ``lesp``, ``molesp``): trees
   grow only at their root via a priority queue of (tree, edge) pairs and
   merge with previously recorded trees sharing that root.
@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
 from .lang import CtpFilters
-from .trees import Classification, ResultTree, SeedSetError, SeedSets, directed_root, minimize
+from .trees import Classification, ResultTree, SeedSetError, SeedSets, minimize
 
 ALGORITHMS = ("bft", "bft_m", "bft_am", "gam", "esp", "moesp", "lesp", "molesp")
 GENERATION_ALGORITHMS = ("bft", "bft_m", "bft_am")
@@ -93,6 +93,7 @@ class _GenTree(NamedTuple):
     # itself; sorted edge ids are formed only for a reported result
     ebits: int
     loose: int  # the nbits of the leaves that are no seeds
+    root: int  # under UNI the one node no tree edge enters; unused otherwise
 
 
 # The drivers build their records from one tuple of every field through these
@@ -289,9 +290,10 @@ def _hop_reach(
 
 def _rooted_search(
     g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
-) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """Run ``gam``, ``esp``, ``moesp``, ``lesp`` or ``molesp`` to exhaustion or
-    deadline; return the ascending ``(edges, nodes)`` of every result.
+    deadline; map the ascending ``(edges, nodes)`` of every result to the
+    root it was first built at.
 
     One start tree per seed (a node in several sets covers them all at
     once) is settled first. Then the best grow pair is popped, and the tree
@@ -372,7 +374,7 @@ def _rooted_search(
         reach = _hop_reach(g, seeds, labels_ok, dead, max_edges, deadline)
         if reach is None:
             stats.timed_out = True
-            return set()
+            return {}
     steps_of: dict[int, list[tuple[int, int, int]]] = {}  # root -> its grow steps, listed on first use
 
     # grow pairs (len(key), key, root, edge, tree, far node, far seed bits);
@@ -385,7 +387,7 @@ def _rooted_search(
     by_root: dict[int, dict[int, list[tuple[int, RootedTree]]]] = {}
     signatures: dict[int, int] = {}  # node -> sets whose seed-rooted paths reached it
     next_record = count().__next__
-    results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    results: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
     def settle(t: RootedTree) -> bool:
         """Count ``t``; file it as a result, or record it, merge its copies
@@ -398,7 +400,7 @@ def _rooted_search(
         if key:
             roots = seen[key] = seen.get(key, ()) + (root,)
         if covered == full_mask:
-            results.add((key, tuple(sorted(nodes))))
+            results.setdefault((key, tuple(sorted(nodes))), root)
             return False
         entry = (next_record(), t)
         buckets = by_root.get(root)
@@ -542,9 +544,9 @@ def _rooted_search(
 
 def _run_generations(
     g: Graph, seeds: SeedSets, algorithm: str, filters: CtpFilters, deadline: float | None, stats: SearchStats
-) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Run ``bft``, ``bft_m`` or ``bft_am`` to exhaustion or deadline; return
-    the ascending ``(edges, nodes)`` of every result.
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Run ``bft``, ``bft_m`` or ``bft_am`` to exhaustion or deadline; map
+    the ascending ``(edges, nodes)`` of every result to its tree's root.
 
     Each generation grows every tree of the last one by one edge at any of
     its nodes, node by node in edge-id order. An edge may extend a tree
@@ -552,25 +554,28 @@ def _run_generations(
     tree and no seed of a set the tree covers; a step toward a dead node (a
     seedless dangling node, or a node of a chain between seeds of one set:
     see ``_dead_test``) is never made, since every tree grown or merged from
-    a tree that holds one holds it too, and no result does. The first time a
-    node is grown at, its grow steps ``(far node, far seed bits, edge
-    bit)`` are listed once for the search, ``LABEL``, self-loops and dead
-    far nodes left out; the other two tests depend on the tree and are
-    made per step. A tree's edge
-    bits are its edge set: a tree whose edge bits were seen before is pruned
-    before it is built, and sorted edge ids are formed only for a tree that
-    is reported. ``bft_m`` merges each grown tree once with the kept trees
-    it can join at one shared node; ``bft_am`` merges the merge products
-    too. The deadline is checked before each tree is grown and before each
-    tree a merge builds; once it has passed, the search ends.
+    a tree that holds one holds it too, and no result does. Under ``UNI``
+    every tree is an out-arborescence, as is every connected subtree of a
+    result: an edge into a node extends a tree only at its root, and its far
+    node becomes the root. The first time a node is grown at, its grow steps
+    ``(far node, far seed bits, edge bit, into)`` are listed once for the
+    search, ``LABEL``, self-loops and dead far nodes left out; ``into`` marks
+    an edge into the node under ``UNI``. A tree's edge bits are its edge
+    set: a tree whose edge bits were seen before is pruned before it is
+    built, and sorted edge ids are formed only for a tree that is reported.
+    ``bft_m`` merges each grown tree once with the kept trees it can join at
+    one shared node, under ``UNI`` only when one of the two is rooted there
+    (the merged tree takes the other's root); ``bft_am`` merges the merge
+    products too. The deadline is checked before each tree is grown and
+    before each tree a merge builds; once it has passed, the search ends.
     """
     edges, adjacent, full_mask, bits = g.edges, g.adjacent_edges, seeds.full_mask, seeds.node_bits.get
-    labels_ok, max_edges = filters.labels, filters.max_edges
+    uni, labels_ok, max_edges = filters.uni, filters.labels, filters.max_edges
     merging = algorithm in ("bft_m", "bft_am")
     aggressive = algorithm == "bft_am"
     new_tree = _new_gen_tree
     dead = _dead_test(g, seeds)
-    results: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    results: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     # the edge sets seen so far; start trees have none and are all distinct
     memory: set[int] = set()
     # merge partners filed under each of their nodes by covered mask, in
@@ -582,7 +587,7 @@ def _run_generations(
     # per-search node and edge bits stay as wide as the reached part of the graph
     bit_of: dict[int, int] = {}
     ebit_of: dict[int, int] = {}  # edge -> its bit; the edges are listed in bit order
-    steps_of: dict[int, list[tuple[int, int, int]]] = {}  # node -> its grow steps, listed on first use
+    steps_of: dict[int, list[tuple[int, int, int, bool]]] = {}  # node -> its grow steps, listed on first use
 
     def keep(t: _GenTree) -> bool:
         """Count a tree that passed deduplication; report it if it covers every set, else keep it."""
@@ -608,12 +613,12 @@ def _run_generations(
             key = tuple(sorted(e for e, b in zip(ebit_of, bin(t.ebits)[:1:-1]) if b == "1"))
             # minimize is the tree check: a tree whose leaves are all seeds comes back unchanged
             minimize(g, key, seeds)
-            results.add((key, tuple(sorted(t.nodes))))
+            results[key, tuple(sorted(t.nodes))] = t.root
         return False
 
     def index(t: _GenTree) -> None:
         entry = (next_record(), t)
-        nodes, covered, nbits, _, _ = t
+        nodes, covered, nbits, _, _, _ = t
         for n in nodes:
             masks = by_node.get(n, {})
             groups = masks.get(covered)
@@ -628,11 +633,13 @@ def _run_generations(
         """Merge ``t`` (and, under ``bft_am``, its merge products); False once the deadline has passed."""
         queue = [t]
         for cur in queue:  # bft_am appends merge products while iterating
-            cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose = cur
+            cur_nodes, cur_covered, cur_nbits, cur_ebits, cur_loose, cur_root = cur
             room = None if max_edges is None else max_edges - cur_ebits.bit_count()
             for n in sorted(cur_nodes):
                 n_bit = bit_of[n]
                 clash = cur_covered & ~bits(n, 0)
+                # under UNI a partner must be rooted at n unless cur is
+                rooted_partner = uni and cur_root != n
                 for mask, groups in by_node[n].items():
                     if mask & clash:
                         continue
@@ -645,6 +652,8 @@ def _run_generations(
                     if not lists:
                         continue
                     for _, partner in list(lists[0]) if len(lists) == 1 else sorted(chain.from_iterable(lists)):
+                        if rooted_partner and partner.root != n:
+                            continue
                         ebits = cur_ebits | partner.ebits
                         if ebits in memory:
                             stats.trees_pruned += 1
@@ -660,6 +669,7 @@ def _run_generations(
                             cur_nbits | partner.nbits,
                             ebits,
                             (cur_loose | partner.loose) & ~n_bit,  # n has an edge on both sides
+                            partner.root if cur_root == n else cur_root,
                         ))
                         if keep(merged):
                             generation.append(merged)
@@ -670,7 +680,7 @@ def _run_generations(
 
     current: list[_GenTree] = []
     for s in _start_nodes(g, seeds):
-        t = new_tree((frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0))
+        t = new_tree((frozenset((s,)), bits(s), bit_of.setdefault(s, 1 << len(bit_of)), 0, 0, s))
         if keep(t):
             current.append(t)
 
@@ -680,7 +690,7 @@ def _run_generations(
             if deadline is not None and time.monotonic() > deadline:
                 stats.timed_out = True
                 return results
-            nodes, covered, nbits, t_ebits, loose = t
+            nodes, covered, nbits, t_ebits, loose, root = t
             if max_edges is not None and t_ebits.bit_count() >= max_edges:
                 continue
             for n in sorted(nodes):
@@ -691,11 +701,12 @@ def _run_generations(
                         _, source, target, label = edges[e]
                         far = source if target == n else target
                         if far != n and (labels_ok is None or label in labels_ok) and not dead(far):
-                            steps.append((far, bits(far, 0), ebit_of.setdefault(e, 1 << len(ebit_of))))
+                            e_bit = ebit_of.setdefault(e, 1 << len(ebit_of))
+                            steps.append((far, bits(far, 0), e_bit, uni and target == n))
                 # the near end stops being a leaf; a start tree's only node is a seed
                 near_loose = loose & ~bit_of[n]
-                for far, far_bits, e_bit in steps:
-                    if far in nodes or far_bits & covered:
+                for far, far_bits, e_bit, into in steps:
+                    if far in nodes or far_bits & covered or into and n != root:
                         continue
                     ebits = t_ebits | e_bit
                     if ebits in memory:
@@ -709,6 +720,7 @@ def _run_generations(
                         nbits | far_bit,
                         ebits,
                         near_loose if far_bits else near_loose | far_bit,
+                        far if into else root,
                     ))
                     if keep(grown):
                         nxt.append(grown)
@@ -763,10 +775,11 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
 
     Returns the deduplicated results in canonical order (scored and top-k
     restricted when the filters ask for it) together with the run counters.
-    A result's root, whichever driver found it, reaches every other node
-    under UNI and is its smallest node otherwise; it fills every universal
-    seed-set cell. A timeout is a normal outcome flagged in ``stats.timed_out``.
-    The cyclic garbage collector is off while it runs (see ``_gc_paused``).
+    A result's root is the one its driver built it at under UNI, which
+    reaches every other node, and its smallest node otherwise; it fills every
+    universal seed-set cell. A timeout is a normal outcome flagged in
+    ``stats.timed_out``. The cyclic garbage collector is off while it runs
+    (see ``_gc_paused``).
     """
     check_config(cfg)
     algorithm, filters = cfg.algorithm, cfg.filters
@@ -777,14 +790,8 @@ def run_search(g: Graph, seeds: SeedSets, cfg: SearchConfig) -> tuple[list[Resul
     driver = _run_generations if algorithm in GENERATION_ALGORITHMS else _rooted_search
     found = driver(g, seeds, algorithm, filters, deadline, stats)
     results = []
-    for edges, nodes in found:
-        if filters.uni and edges:
-            # rooted trees under UNI grow away from their root; a generation
-            # tree, grown in any direction, is dropped when it has no such root
-            root = directed_root(g, edges)
-            if root is None:
-                continue
-        else:
+    for (edges, nodes), root in found.items():
+        if not filters.uni:
             root = nodes[0]
         chosen = seeds.chosen_seeds(nodes)  # every non-universal set, and no other
         seed_tuple = tuple(chosen.get(i, root) for i in range(seeds.m))

@@ -216,22 +216,3 @@ def classify_result(g: Graph, edges: Iterable[int], seeds: SeedSets) -> Classifi
         piece_is_spider=tuple(piece_is_spider),
         max_piece_leaves=max(piece_leaves, default=0),
     )
-
-
-def directed_root(g: Graph, edges: Iterable[int]) -> int | None:
-    """The node from which directed paths reach every other tree node, if any.
-
-    Within a tree of n edges, such a node exists iff exactly one node has no
-    incoming tree edge (every edge then points away from it).
-    """
-    edge_list = list(edges)
-    if not edge_list:
-        return None
-    nodes: set[int] = set()
-    has_incoming: set[int] = set()
-    for eid in edge_list:
-        e = g.edges[eid]
-        nodes.update((e.source, e.target))
-        has_incoming.add(e.target)
-    roots = nodes - has_incoming
-    return next(iter(roots)) if len(roots) == 1 else None

@@ -205,9 +205,11 @@ def test_criterion_9_pushed_filters_equal_post_filtering(suite_m3):
     labels_cycle = [frozenset({"a"}), frozenset({"a", "b"}), frozenset({"a", "b", "c"})]
     bad = 0
     for i, (g, seeds, baseline) in enumerate(suite_m3):
-        uni, _ = run_search(g, seeds, SearchConfig(algorithm="molesp", filters=CtpFilters(uni=True)))
-        if result_identities(uni) != post_filter_identities(g, baseline, uni=True):
-            bad += 1
+        expected = post_filter_identities(g, baseline, uni=True)
+        for algorithm in ("molesp", "bft", "bft_m", "bft_am"):
+            uni, _ = run_search(g, seeds, SearchConfig(algorithm=algorithm, filters=CtpFilters(uni=True)))
+            if result_identities(uni) != expected:
+                bad += 1
         labels = labels_cycle[i % 3]
         lab, _ = run_search(g, seeds, SearchConfig(algorithm="molesp", filters=CtpFilters(labels=labels)))
         if result_identities(lab) != post_filter_identities(g, baseline, labels=labels):

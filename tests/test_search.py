@@ -652,14 +652,20 @@ def test_search_leaves_no_cyclic_garbage(fig1):
     cases["no graph node", "molesp"] = partial(_raises_seed_set_error, partial(run_search, fig1, SeedSets([(2,), (99,)]), SearchConfig()))
     for w in (gen_cdf(2, 8, 16, 3, 1), gen_cdf(3, 4, 8, 3, 1)):  # the m=3 query is under UNI
         cases[f"cdf m={w.parameters['m']}", "query"] = partial(evaluate_query, w.graph, parse_query(w.query_text))
-    for case, call in cases.items():
-        gc.collect()
-        gc.disable()
-        try:
-            assert call() is not False, case  # each deadline case does hit its deadline
-            assert gc.collect() == 0, case
-        finally:
-            gc.enable()
+    # each case's check walks only what the case allocated: what lived before
+    # it is frozen out of the collector's reach
+    try:
+        for case, call in cases.items():
+            gc.collect()
+            gc.freeze()
+            gc.disable()
+            try:
+                assert call() is not False, case  # each deadline case does hit its deadline
+                assert gc.collect() == 0, case
+            finally:
+                gc.enable()
+    finally:
+        gc.unfreeze()
 
 
 def test_searches_pause_the_cyclic_collector(fig1):
@@ -807,7 +813,14 @@ def _filtered_oracle(g, edge_sets, singles, filters):
 
 def test_bft_agrees_with_subset_enumeration_oracle():
     # so do the merging variants, with and without each tree-level filter
-    filters = (CtpFilters(), CtpFilters(uni=True), CtpFilters(labels=frozenset({"a"})), CtpFilters(max_edges=3))
+    filters = (
+        CtpFilters(),
+        CtpFilters(uni=True),
+        CtpFilters(labels=frozenset({"a"})),
+        CtpFilters(max_edges=3),
+        CtpFilters(uni=True, max_edges=3),
+        CtpFilters(uni=True, labels=frozenset({"a"})),
+    )
     runs = [(algo, f) for algo in ("bft", "bft_m", "bft_am") for f in filters]
     rng = random.Random(4242)
     for _ in range(30):
@@ -817,6 +830,11 @@ def test_bft_agrees_with_subset_enumeration_oracle():
         for algo, filters in runs:
             results, _ = run_search(g, seeds, SearchConfig(algorithm=algo, filters=filters))
             assert result_identities(results) == _filtered_oracle(g, edge_sets, singles, filters), (algo, filters)
+            if filters.uni:
+                # the root is the one tree node that no tree edge enters
+                for rt in results:
+                    entered = {g.edges[e].target for e in rt.edges}
+                    assert set(rt.nodes) - entered == {rt.root}, (algo, filters, rt)
 
 
 @pytest.mark.parametrize("algorithm", ["bft", "bft_m", "bft_am"])

@@ -119,9 +119,9 @@ PINNED = {
     ("m3_4", "moesp"): (152, 137, 128, 35, "47e461445d7095ac"),
     ("m3_4", "lesp"): (143, 110, 143, 23, "bb4b6db93ec18585"),
     ("m3_4", "molesp"): (203, 113, 143, 35, "47e461445d7095ac"),
-    ("m3_2_uni", "bft"): (586, 505, 0, 4, "6451b39587ad3c76"),
-    ("m3_2_uni", "bft_m"): (586, 1092, 0, 4, "6451b39587ad3c76"),
-    ("m3_2_uni", "bft_am"): (614, 1983, 0, 4, "6451b39587ad3c76"),
+    ("m3_2_uni", "bft"): (189, 117, 0, 4, "6451b39587ad3c76"),
+    ("m3_2_uni", "bft_m"): (189, 207, 0, 4, "6451b39587ad3c76"),
+    ("m3_2_uni", "bft_am"): (204, 364, 0, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "gam"): (26, 0, 22, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "esp"): (26, 0, 22, 4, "6451b39587ad3c76"),
     ("m3_2_uni", "moesp"): (26, 0, 22, 4, "6451b39587ad3c76"),

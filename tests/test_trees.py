@@ -1,4 +1,4 @@
-"""Seed sets, minimization, result classification, directed roots."""
+"""Seed sets, minimization and result classification."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from treeq.trees import (
     SeedSetError,
     SeedSets,
     classify_result,
-    directed_root,
     minimize,
 )
 
@@ -130,11 +129,3 @@ def test_classify_empty_result_is_trivially_guaranteed(fig1):
     assert cls.pieces == ()
     assert cls.max_piece_leaves == 0
     assert cls.all_spiders
-
-
-def test_directed_root(fig1):
-    # 4 -e10-> 7 <-e9- 6 <-e11- 9: node 9 reaches 6 and 7 but nothing reaches 4
-    assert directed_root(fig1, (9, 11)) == 9
-    assert directed_root(fig1, (9, 10, 11)) is None
-    g = make_graph(["r", "a", "b"], [(1, 2), (1, 3)])
-    assert directed_root(g, (1, 2)) == 1
